@@ -18,12 +18,13 @@ The paper's sequence of events at Fujitsu:
 
 For each step this script runs the static SQL analysis, then *executes*
 the Figure 4 schedule on the table-driven simulator to confirm the
-verdict, and finally cross-checks with the explicit-state model checker.
+verdict, and finally cross-checks by exhaustive search: the reachability
+explorer rooted at the Figure 4 workload enumerates every interleaving.
 
 Run:  python examples/deadlock_hunt.py
 """
 
-from repro.checkers import ExplicitStateChecker
+from repro.explore import ExploreConfig, ReachabilityExplorer
 from repro.protocols.asura import build_system
 from repro.sim import figure4_scenario
 
@@ -55,13 +56,18 @@ def main() -> None:
                 print(f"  {line}")
 
         # -- model-checker cross-check (paper section 4.2) ----------------
-        mc = ExplicitStateChecker(figure4_scenario(system, name))
-        mc_result = mc.run(max_states=100_000)
-        verdict = ("deadlock found" if mc_result.found_deadlock
+        explorer = ReachabilityExplorer(
+            system, ExploreConfig(depth=24),
+            workload=figure4_scenario(system, name))
+        mc_result = explorer.run()
+        verdict = ("deadlock found" if mc_result.deadlocks
                    else "no deadlock reachable")
         print(f"model checker: {verdict} after exploring "
               f"{mc_result.states} states / {mc_result.transitions} "
-              f"transitions in {mc_result.seconds:.2f}s")
+              f"transitions in {mc_result.wall_seconds:.2f}s")
+        if mc_result.deadlocks:
+            print(explorer.counterexample(mc_result.deadlocks[0]))
+        explorer.close()
         print()
 
     print("The SQL analysis needed no state enumeration at all — the")

@@ -150,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(fingerprint must match)")
 
     p = sub.add_parser("mc", parents=[common],
-                       help="explicit-state model checker (baseline)")
+                       help="exhaustive state search of the Figure 4 "
+                            "scenario (the paper's model-checker baseline)")
     p.add_argument("--assignment", choices=("v4", "v5", "v5d"), default="v5")
-    p.add_argument("--max-states", type=int, default=100_000)
 
     p = sub.add_parser("repair", parents=[common],
                        help="search for channel-assignment fixes")
@@ -563,20 +563,30 @@ def _cmd_simulate(system, args) -> int:
     return 0 if result.status == "quiescent" else 1
 
 
+#: depth bound of ``repro mc``.  Figure 4's deepest reachable state sits
+#: at depth 16 on every family member, so the search exhausts the space.
+_MC_DEPTH = 24
+
+
 def _cmd_mc(system, args) -> int:
-    from .checkers import ExplicitStateChecker
+    from .explore import ExploreConfig, ReachabilityExplorer
     from .sim import figure4_scenario
-    mc = ExplicitStateChecker(figure4_scenario(system, args.assignment))
-    result = mc.run(max_states=args.max_states)
-    print(f"explored {result.states} states / {result.transitions} "
-          f"transitions in {result.seconds:.2f}s (depth {result.max_depth})")
-    for depth, desc in result.deadlocks:
-        print(f"deadlock at depth {depth}: {desc}")
-    for depth, desc in result.violations:
-        print(f"coherence violation at depth {depth}: {desc}")
-    if result.truncated:
-        print(f"search truncated at {args.max_states} states")
-    return 0 if result.passed else 1
+    explorer = ReachabilityExplorer(
+        system, ExploreConfig(depth=_MC_DEPTH),
+        workload=figure4_scenario(system, args.assignment))
+    try:
+        result = explorer.run()
+        print(result.render())
+        first = next((v for v in result.violations if v.kind == "deadlock"),
+                     None)
+        if first is not None:
+            print(f"\ndeadlock at depth {first.depth}: {first.detail}")
+            print(explorer.counterexample(first.digest))
+    finally:
+        explorer.close()
+    if not result.exhausted:
+        print(f"search truncated at depth {_MC_DEPTH}")
+    return 0 if result.ok and result.exhausted else 1
 
 
 def _cmd_repair(system, args) -> int:

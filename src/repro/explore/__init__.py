@@ -14,7 +14,8 @@ state and quiescent-deadlock detection at every expansion.
   encoding with process-stable hashing;
 * :mod:`repro.explore.explorer` — the depth-synchronized BFS engine
   (parallel frontier expansion, checkpoint journaling, counterexample
-  trace extraction);
+  trace extraction), rooted at an open system or at a closed workload
+  (the section 4.2 model-checker baseline behind ``repro mc``);
 * :mod:`repro.explore.oracle` — the campaign adapter that re-scores
   surviving mutants (``run_campaign --oracle explore``), turning the
   detection matrix into a measured false-negative column.

@@ -29,6 +29,13 @@ Every *new* state is checked on the fly:
   outstanding transactions, queued operations) where no non-inject move
   can commit: nothing already started can ever finish.
 
+Given a prepared :class:`~repro.sim.Workload`, the explorer instead
+starts from that workload's injected initial state — a *closed* root:
+the workload's topology, capacities, and homes, no inject moves, no
+symmetry.  Its bounded search exhausts every interleaving of the
+workload's own operations; that is the paper's section 4.2
+explicit-state model-checker baseline (``repro mc``, experiment T7).
+
 Each violating state carries a predecessor chain back to the initial
 state; :meth:`ReachabilityExplorer.replay` re-executes that chain through
 the simulator and returns the message :class:`TraceEvent` list, rendered
@@ -58,12 +65,13 @@ bookkeeping — no simulator, no decoding, no invariant re-evaluation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from ..core.database import DatabaseError, ProtocolDatabase
 from ..core.kernel import compile_system_kernels
@@ -328,7 +336,7 @@ def _n_quads(config: ExploreConfig) -> int:
 
 def _quad_node_counts(config: ExploreConfig) -> dict[int, int]:
     """Nodes hosted per quad under the round-robin trim of
-    :func:`_build_simulator`."""
+    :func:`_open_space`."""
     n_quads = _n_quads(config)
     nodes_per_quad = math.ceil(config.nodes / n_quads)
     keep = [
@@ -363,48 +371,85 @@ def _quad_classes(config: ExploreConfig) -> tuple:
     )
 
 
-def _sim_config(config: ExploreConfig, home_map: dict) -> SimConfig:
+class _Space(NamedTuple):
+    """What fixes an explored state space, computed once per explorer.
+
+    The simulator's configuration and node set, the inject alphabet, and
+    the symmetry group.  It pickles, so parallel workers rebuild exactly
+    the explorer's simulator from it instead of re-deriving one.
+    """
+
+    assignment: str
+    sim_config: SimConfig
+    node_ids: tuple
+    addrs: tuple          # inject addresses; empty for a closed root
+    symmetry: Any
+    quad_classes: tuple
+
+    def simulator(self, system, channels=None, tables=None) -> Simulator:
+        """A fresh simulator of this space.  ``channels`` overrides the
+        assignment with the parent system's live object, so in-memory
+        reassignment mutations survive worker cloning; ``tables`` injects
+        compiled kernel tables in place of the SQL-backed ones."""
+        sim = Simulator(system, self.assignment, self.sim_config,
+                        tables=tables)
+        if channels is not None:
+            sim.channels = channels
+            sim.fabric.assignment = channels
+        sim.nodes = {nid: sim.nodes[nid] for nid in self.node_ids}
+        return sim
+
+    def canonical(self, sim: Simulator) -> tuple:
+        return canonicalize(snapshot_state(sim), self.symmetry,
+                            self.quad_classes)
+
+    def expand(self, sim: Simulator, state: tuple) -> dict:
+        return _expand_state(sim, state, self.addrs, self.symmetry,
+                             self.quad_classes)
+
+
+def _open_space(config: ExploreConfig) -> _Space:
+    """An open system: ``config.nodes`` nodes, kept in round-robin order
+    across quads (``node:0.0``, ``node:1.0``, ``node:0.1``, …) so every
+    quad participates before any quad gets a second node, and every line
+    homed at quad 0 — requests from quad 1 exercise the remote-request
+    path, requests from quad 0 the local one."""
+    addrs = tuple(f"L{i}" for i in range(config.lines))
     n_quads = _n_quads(config)
     nodes_per_quad = math.ceil(config.nodes / n_quads)
-    return SimConfig(
+    sim_config = SimConfig(
         n_quads=n_quads,
         nodes_per_quad=nodes_per_quad,
         default_capacity=config.capacity,
         reissue_delay=0,         # untimed: a retry is immediately enabled
         memory_refresh_until=0,  # no DRAM stall window
-        home_map=dict(home_map),
+        home_map={a: 0 for a in addrs},
         check_coherence=False,   # the explorer checks states itself
     )
-
-
-def _build_simulator(system, config: ExploreConfig, home_map: dict,
-                     channels=None, tables=None) -> Simulator:
-    """A simulator trimmed to exactly ``config.nodes`` nodes.
-
-    Nodes are kept in round-robin order across quads (``node:0.0``,
-    ``node:1.0``, ``node:0.1``, …) so every quad participates before any
-    quad gets a second node.  ``channels`` overrides the clone's channel
-    assignment with the parent system's live object, so in-memory
-    reassignment mutations survive worker cloning.  ``tables`` injects
-    compiled kernel tables in place of the SQL-backed ones.
-    """
-    sim = Simulator(system, config.assignment, _sim_config(config, home_map),
-                    tables=tables)
-    if channels is not None:
-        sim.channels = channels
-        sim.fabric.assignment = channels
-    n_quads = sim.config.n_quads
     keep = [
-        f"node:{q}.{i}"
-        for i in range(sim.config.nodes_per_quad)
-        for q in range(n_quads)
+        f"node:{q}.{i}" for i in range(nodes_per_quad) for q in range(n_quads)
     ][:config.nodes]
-    sim.nodes = {nid: sim.nodes[nid] for nid in sorted(keep)}
-    return sim
+    return _Space(config.assignment, sim_config, tuple(sorted(keep)), addrs,
+                  config.symmetry, _quad_classes(config))
 
 
-def _addrs(config: ExploreConfig) -> list[str]:
-    return [f"L{i}" for i in range(config.lines)]
+def _closed_space(workload) -> _Space:
+    """A closed system: the workload simulator's topology, capacities,
+    and homes under the same untimed overrides as an open one.  Nothing
+    is injected beyond the workload's own operations, and symmetry is
+    off — preset lines and homes outside quad 0 break the assumptions
+    behind :func:`canonicalize`."""
+    sim = workload.simulator
+    addrs = {*sim.config.home_map, *(op.addr for op in workload.ops)}
+    sim_config = dataclasses.replace(
+        sim.config,
+        reissue_delay=0,
+        memory_refresh_until=0,
+        home_map={a: sim.home_quad(a) for a in sorted(addrs)},
+        check_coherence=False,
+    )
+    return _Space(sim.channels.name, sim_config, tuple(sim.nodes), (),
+                  "off", ())
 
 
 # -- moves --------------------------------------------------------------------
@@ -554,23 +599,15 @@ def _expand_unit(payload: tuple) -> list:
     """Module-level :func:`run_units` adapter: expand a batch of states
     on a private clone of the protocol database (sqlite connections are
     single-thread; every unit builds its own)."""
-    snapshot, channels, config, batch = payload
+    snapshot, channels, variant, space, batch = payload
     from ..protocols.family import attach_variant
 
     db = ProtocolDatabase.deserialize(snapshot)
     try:
         # The variant marker in the database picks the family member;
         # a bare MESI database attaches exactly as before.
-        system = attach_variant(db, config.variant)
-        home_map = {a: 0 for a in _addrs(config)}
-        sim = _build_simulator(system, config, home_map, channels=channels)
-        addrs = _addrs(config)
-        quad_classes = _quad_classes(config)
-        return [
-            [digest, _expand_state(sim, state, addrs, config.symmetry,
-                                   quad_classes)]
-            for digest, state in batch
-        ]
+        sim = space.simulator(attach_variant(db, variant), channels=channels)
+        return [[digest, space.expand(sim, state)] for digest, state in batch]
     finally:
         db.close()
 
@@ -646,15 +683,18 @@ def _directory_violation(state: tuple, home_map: dict) -> Optional[str]:
 class ReachabilityExplorer:
     """Depth-bounded BFS over everything the controller tables allow."""
 
-    def __init__(self, system, config: Optional[ExploreConfig] = None) -> None:
+    def __init__(self, system, config: Optional[ExploreConfig] = None,
+                 workload=None) -> None:
+        """Explore ``system`` as an open system sized by ``config`` or,
+        given a prepared :class:`~repro.sim.Workload`, as a *closed* one
+        rooted at the workload's injected initial state (the workload is
+        consumed).  A closed root fires only the workload's own
+        operations, so its bounded search can exhaust the state space;
+        ``config`` then contributes only its bounds and execution knobs.
+        """
         self.system = system
         self.config = config or ExploreConfig()
         self.config.validate()
-        self.addrs = _addrs(self.config)
-        #: every line homed at quad 0: requests from quad 1 exercise the
-        #: remote-request path, requests from quad 0 the local one.
-        self.home_map = {a: 0 for a in self.addrs}
-        self.quad_classes = _quad_classes(self.config)
         # Kernels and the simulator are built on first use: a fully warm
         # store sweep never fires a transition, so it should not pay for
         # dispatch compilation.  The root state is backend-independent
@@ -662,11 +702,26 @@ class ReachabilityExplorer:
         self._kernels: Optional[dict] = None
         self._sim: Optional[Simulator] = None
         self._pool: Optional[KernelPool] = None
-        root_sim = _build_simulator(system, self.config, self.home_map)
-        if self.config.kernel != "compiled":
-            self._sim = root_sim
-        root = canonicalize(snapshot_state(root_sim), self.config.symmetry,
-                            self.quad_classes)
+        if workload is None:
+            self.space = _open_space(self.config)
+            root_sim = self.space.simulator(system)
+            if self.config.kernel != "compiled":
+                self._sim = root_sim
+        else:
+            # Journals and stores are keyed on the open-system config.
+            c = self.config
+            if c.journal_path or c.resume_from or c.frontier_dir:
+                raise ExplorationError(
+                    "a closed (workload-rooted) exploration cannot journal, "
+                    "resume, or use a frontier store")
+            if workload.simulator.system is not system:
+                raise ExplorationError(
+                    "the workload was prepared on a different system")
+            self.space = _closed_space(workload)
+            workload.inject_all()
+            root_sim = workload.simulator
+        self.home_map = self.space.sim_config.home_map
+        root = self.space.canonical(root_sim)
         self.root_digest = hash_state(root)
         #: the successor-relation store; None without ``frontier_dir``.
         self.store: Optional[SuccessorStore] = None
@@ -719,8 +774,7 @@ class ReachabilityExplorer:
     @property
     def sim(self) -> Simulator:
         if self._sim is None:
-            self._sim = _build_simulator(self.system, self.config,
-                                         self.home_map, tables=self.kernels)
+            self._sim = self.space.simulator(self.system, tables=self.kernels)
         return self._sim
 
     def close(self) -> None:
@@ -782,8 +836,9 @@ class ReachabilityExplorer:
         cfg = self.config
         t0 = time.perf_counter()
         tracer = get_tracer()
-        with span("explore.run", nodes=cfg.nodes, depth_bound=cfg.depth,
-                  assignment=cfg.assignment, workers=cfg.workers):
+        with span("explore.run", nodes=len(self.space.node_ids),
+                  depth_bound=cfg.depth, assignment=self.space.assignment,
+                  workers=cfg.workers):
             result = self._run(t0, tracer)
         if tracer.enabled:
             tracer.incr("explore.states", result.states)
@@ -811,8 +866,8 @@ class ReachabilityExplorer:
 
         run_id = new_run_id() if tracer.enabled else None
         tracer.emit("explore.started", run_id=run_id, kind=JOURNAL_KIND,
-                    nodes=cfg.nodes, lines=cfg.lines,
-                    depth_bound=cfg.depth, assignment=cfg.assignment,
+                    nodes=len(self.space.node_ids), lines=len(self.home_map),
+                    depth_bound=cfg.depth, assignment=self.space.assignment,
                     resumed_depths=resumed)
 
         def _emit_depth(stats: DepthStats) -> None:
@@ -883,12 +938,12 @@ class ReachabilityExplorer:
                 self.store.flush()
 
         return ExploreResult(
-            nodes=cfg.nodes,
-            lines=cfg.lines,
+            nodes=len(self.space.node_ids),
+            lines=len(self.home_map),
             depth=depth,
             depth_bound=cfg.depth,
-            assignment=cfg.assignment,
-            symmetry=cfg.symmetry,
+            assignment=self.space.assignment,
+            symmetry=self.space.symmetry,
             states=self._states_total(),
             transitions=sum(s.transitions for s in per_depth),
             dedup_hits=sum(s.dedup_hits for s in per_depth),
@@ -1063,22 +1118,18 @@ class ReachabilityExplorer:
             states = (self.states.get_many(frontier)
                       if isinstance(self.states, DiskStateMap)
                       else self.states)
-            return [
-                (digest,
-                 _expand_state(self.sim, states[digest], self.addrs,
-                               cfg.symmetry, self.quad_classes))
-                for digest in frontier
-            ]
+            return [(digest, self.space.expand(self.sim, states[digest]))
+                    for digest in frontier]
         if cfg.kernel == "compiled":
             return self._expand_frontier_pool(frontier, workers)
         snapshot = self.system.db.snapshot()
-        channels = self.system.channel_assignments[cfg.assignment]
+        channels = self.system.channel_assignments[self.space.assignment]
         chunk = max(1, min(cfg.batch_size,
                            math.ceil(len(frontier) / workers)))
         batches = [frontier[i:i + chunk]
                    for i in range(0, len(frontier), chunk)]
         units = [
-            (i, (snapshot, channels, cfg,
+            (i, (snapshot, channels, cfg.variant, self.space,
                  [(d, self.states[d]) for d in batch]))
             for i, batch in enumerate(batches)
         ]
@@ -1099,9 +1150,9 @@ class ReachabilityExplorer:
         at pool creation, each task is only a batch of state tuples."""
         cfg = self.config
         if self._pool is None:
-            channels = self.system.channel_assignments[cfg.assignment]
-            self._pool = KernelPool(self.kernels, channels, cfg,
-                                    self.home_map, workers)
+            channels = self.system.channel_assignments[self.space.assignment]
+            self._pool = KernelPool(self.kernels, channels, self.space,
+                                    workers)
         chunk = max(1, min(cfg.batch_size,
                            math.ceil(len(frontier) / workers)))
         states = (self.states.get_many(frontier)
@@ -1297,8 +1348,7 @@ class ReachabilityExplorer:
                 TraceEvent(i, e.seq, e.msg, e.src, e.dst, e.addr, e.channel)
                 for e in self.sim.trace
             )
-            state = canonicalize(snapshot_state(self.sim),
-                                 self.config.symmetry, self.quad_classes)
+            state = self.space.canonical(self.sim)
         return events, hash_state(state)
 
     def counterexample(self, digest: str, width: int = 14) -> str:

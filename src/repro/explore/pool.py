@@ -25,22 +25,16 @@ __all__ = ["KernelPool"]
 
 # Per-worker globals, installed once by the pool initializer.
 _SIM = None
-_ADDRS = None
-_SYMMETRY = None
-_QUAD_CLASSES = None
+_SPACE = None
 
 
-def _init_worker(kernels, channels, config, home_map) -> None:
+def _init_worker(kernels, channels, space) -> None:
     from ..core.kernel import KernelSystem
-    from . import explorer as _ex
 
-    global _SIM, _ADDRS, _SYMMETRY, _QUAD_CLASSES
-    system = KernelSystem(kernels, {config.assignment: channels})
-    _SIM = _ex._build_simulator(system, config, home_map,
-                                tables=system.tables)
-    _ADDRS = _ex._addrs(config)
-    _SYMMETRY = config.symmetry
-    _QUAD_CLASSES = _ex._quad_classes(config)
+    global _SIM, _SPACE
+    system = KernelSystem(kernels, {space.assignment: channels})
+    _SIM = space.simulator(system, tables=system.tables)
+    _SPACE = space
 
 
 def _expand_batch(batch) -> list:
@@ -51,26 +45,19 @@ def _expand_batch(batch) -> list:
     ``_expand_state`` exactly, so the merge loop cannot tell a pooled
     expansion from an inline one.
     """
-    from . import explorer as _ex
-
-    return [
-        [digest, _ex._expand_state(_SIM, state, _ADDRS, _SYMMETRY,
-                                   _QUAD_CLASSES)]
-        for digest, state in batch
-    ]
+    return [[digest, _SPACE.expand(_SIM, state)] for digest, state in batch]
 
 
 class KernelPool:
     """A persistent pool of kernel-simulator workers."""
 
-    def __init__(self, kernels, channels, config, home_map,
-                 workers: int) -> None:
+    def __init__(self, kernels, channels, space, workers: int) -> None:
         self.workers = workers
         ctx = multiprocessing.get_context()
         self._pool = ctx.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(kernels, channels, config, home_map),
+            initargs=(kernels, channels, space),
         )
 
     def expand(self, batches: list) -> list:

@@ -213,7 +213,7 @@ def _frontier_preset(system, frontier_dir: str, assignment: str,
     for a different protocol/topology fingerprint."""
     import os
 
-    from ..explore.explorer import ExploreConfig, _build_simulator
+    from ..explore.explorer import ExploreConfig, _open_space
     from ..explore.state import restore_state
     from ..explore.store import sample_frontier_states, system_fingerprint
 
@@ -226,7 +226,7 @@ def _frontier_preset(system, frontier_dir: str, assignment: str,
     if not samples:
         return None
     home_map = {f"L{i}": 0 for i in range(lines)}
-    sim = _build_simulator(system, config, home_map)
+    sim = _open_space(config).simulator(system)
     digest, state = samples[0]
     restore_state(sim, state)
     return sim, home_map, digest

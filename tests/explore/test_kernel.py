@@ -21,11 +21,7 @@ from repro.core.kernel import (
 from repro.core.schema import SchemaError
 from repro.core.table import AmbiguousMatchError, NoMatchError
 from repro.explore import ExploreConfig, ReachabilityExplorer
-from repro.explore.explorer import (
-    _build_simulator,
-    _expand_state,
-    _quad_classes,
-)
+from repro.explore.explorer import _quad_classes
 from repro.explore.state import canonicalize, hash_state, permute_quads
 from repro.faults.mutations import FAULT_CLASSES, MutationEngine
 from repro.protocols.asura import build_system
@@ -137,16 +133,13 @@ class TestExpansionParity:
     def test_every_reached_state_expands_identically(self, system,
                                                      explored_2n8):
         explorer, _ = explored_2n8
-        cfg = explorer.config
-        interp = _build_simulator(system, cfg, explorer.home_map)
-        compiled = _build_simulator(system, cfg, explorer.home_map,
-                                    tables=compile_system_kernels(system))
-        addrs = explorer.addrs
+        space = explorer.space
+        interp = space.simulator(system)
+        compiled = space.simulator(system,
+                                   tables=compile_system_kernels(system))
         for digest, state in explorer.states.items():
-            a = _expand_state(interp, state, addrs, cfg.symmetry,
-                              explorer.quad_classes)
-            b = _expand_state(compiled, state, addrs, cfg.symmetry,
-                              explorer.quad_classes)
+            a = space.expand(interp, state)
+            b = space.expand(compiled, state)
             assert a == b, f"expansion diverged at {digest}"
 
 

@@ -28,8 +28,11 @@ from repro.explore import (
     encode_state,
     hash_state,
     permute_state,
+    restore_state,
+    snapshot_state,
 )
 from repro.explore.state import node_groups, state_key
+from repro.sim import figure4_scenario
 
 
 def _reached_states():
@@ -107,6 +110,29 @@ class TestEncodingRoundTrip:
         permuted = permute_state(state, mapping)
         same = state_key(permuted) == state_key(state)
         assert (hash_state(permuted) == hash_state(state)) == same
+
+
+class TestSnapshotRestoreRoundTrip:
+    """Restoring a state and snapshotting it again is the identity — the
+    explorer expands every state by restoring it into a reused simulator."""
+
+    @pytest.mark.parametrize("source", ["reached", "figure4-mid-run"])
+    def test_restore_then_snapshot_is_identity(self, system, source):
+        if source == "reached":
+            explorer = ReachabilityExplorer(
+                system, ExploreConfig(nodes=3, depth=5))
+            sim = explorer.space.simulator(system)
+            states = _reached_states()
+        else:
+            workload = figure4_scenario(system, "v5")
+            sim = workload.simulator
+            workload.inject_all()
+            for _ in range(3):
+                sim.step()
+            states = [snapshot_state(sim)]
+        for state in states:
+            restore_state(sim, state)
+            assert snapshot_state(sim) == state
 
 
 class TestCrossProcessHashStability:
