@@ -2,16 +2,16 @@
 
 from .cycles import (
     canonical_cycle,
-    cyclic_vertices_networkx,
+    cyclic_vertices,
     cyclic_vertices_sql,
-    find_cycles_networkx,
+    find_cycles,
 )
 
 __all__ = [
     "canonical_cycle",
-    "cyclic_vertices_networkx",
+    "cyclic_vertices",
     "cyclic_vertices_sql",
-    "find_cycles_networkx",
+    "find_cycles",
 ]
 
 from .stats import ProtocolStats, collect

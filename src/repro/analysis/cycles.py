@@ -2,8 +2,8 @@
 
 Two independent implementations, cross-checked by property tests:
 
-* :func:`find_cycles_networkx` — enumerate elementary cycles with
-  ``networkx.simple_cycles``.
+* :func:`find_cycles` — enumerate elementary cycles by backtracking
+  (the graphs are virtual-channel graphs of a handful of vertices).
 * :func:`cyclic_vertices_sql` — pure SQL, the way the paper's database
   would do it: a recursive reachability query; a vertex is on a cycle iff
   it reaches itself.
@@ -17,11 +17,9 @@ from __future__ import annotations
 import sqlite3
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 __all__ = [
-    "find_cycles_networkx",
-    "cyclic_vertices_networkx",
+    "find_cycles",
+    "cyclic_vertices",
     "cyclic_vertices_sql",
     "canonical_cycle",
 ]
@@ -38,31 +36,37 @@ def canonical_cycle(cycle: Sequence[str]) -> tuple[str, ...]:
     return tuple(cycle[i:]) + tuple(cycle[:i])
 
 
-def find_cycles_networkx(edges: Iterable[Edge]) -> list[tuple[str, ...]]:
-    """All elementary cycles, each in canonical rotation, sorted."""
-    g = nx.DiGraph()
-    g.add_edges_from(edges)
-    cycles = {canonical_cycle(c) for c in nx.simple_cycles(g)}
+def find_cycles(edges: Iterable[Edge]) -> list[tuple[str, ...]]:
+    """All elementary cycles, each in canonical rotation, sorted.
+
+    Each cycle is grown from its smallest vertex through larger vertices
+    only, so it is found exactly once and already canonical."""
+    succ: dict[str, set[str]] = {}
+    for src, dst in edges:
+        succ.setdefault(src, set()).add(dst)
+    cycles: list[tuple[str, ...]] = []
+
+    def extend(path: list[str]) -> None:
+        for nxt in sorted(succ.get(path[-1], ())):
+            if nxt == path[0]:
+                cycles.append(tuple(path))
+            elif nxt > path[0] and nxt not in path:
+                path.append(nxt)
+                extend(path)
+                path.pop()
+
+    for start in sorted(succ):
+        extend([start])
     return sorted(cycles)
 
 
-def cyclic_vertices_networkx(edges: Iterable[Edge]) -> set[str]:
+def cyclic_vertices(edges: Iterable[Edge]) -> set[str]:
     """Vertices lying on at least one cycle (incl. self-loops)."""
-    g = nx.DiGraph()
-    g.add_edges_from(edges)
-    out: set[str] = set()
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1:
-            out |= comp
-        else:
-            (v,) = comp
-            if g.has_edge(v, v):
-                out.add(v)
-    return out
+    return {v for cycle in find_cycles(edges) for v in cycle}
 
 
 def cyclic_vertices_sql(edges: Iterable[Edge]) -> set[str]:
-    """Same as :func:`cyclic_vertices_networkx`, computed by a recursive
+    """Same as :func:`cyclic_vertices`, computed by a recursive
     SQL reachability query in a scratch SQLite database."""
     conn = sqlite3.connect(":memory:")
     try:

@@ -503,8 +503,8 @@ def _cmd_deadlock(system, args) -> int:
         workers=args.workers,
     )
     cycles = analysis.cycles()
-    print(f"V = {args.assignment}: {analysis.vcg.number_of_nodes()} channels, "
-          f"{analysis.vcg.number_of_edges()} dependencies, "
+    print(f"V = {args.assignment}: {len(analysis.vcg)} channels, "
+          f"{len(analysis.edges())} dependencies, "
           f"{analysis.n_rows} dependency rows "
           f"({analysis.build_seconds:.2f}s)")
     if not cycles:

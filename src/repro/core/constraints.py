@@ -15,9 +15,8 @@ jointly).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
-
-import networkx as nx
 
 from .expr import (
     And,
@@ -182,25 +181,43 @@ class ConstraintSet:
         """
         inputs = set(self.schema.input_names)
         outputs = list(self.schema.output_names)
-        g = nx.DiGraph()
-        g.add_nodes_from(outputs)
+        deps: dict[str, list[str]] = {}
         for name in outputs:
-            for dep in self.get(name).dependencies():
-                if dep in inputs:
-                    continue
-                if dep not in g:
-                    raise ConstraintError(
-                        f"output column {name!r} depends on unknown column {dep!r}"
-                    )
-                g.add_edge(dep, name)  # dep must be generated before name
-        plan: list[tuple[str, ...]] = []
-        condensed = nx.condensation(g)
-        for component in nx.topological_sort(condensed):
-            members = condensed.nodes[component]["members"]
-            # Keep schema order within a group for reproducible output.
-            ordered = tuple(c for c in outputs if c in members)
-            plan.append(ordered)
-        return plan
+            needed = self.get(name).dependencies() - inputs
+            unknown = sorted(needed - set(outputs))
+            if unknown:
+                raise ConstraintError(
+                    f"output column {name!r} depends on unknown column "
+                    f"{unknown[0]!r}"
+                )
+            deps[name] = [c for c in outputs if c in needed]
+        # Every output an output (transitively) depends on; two outputs
+        # reaching each other are mutually dependent and share a group,
+        # kept in schema order for reproducible output.
+        reach: dict[str, set[str]] = {}
+        for name in outputs:
+            seen, todo = reach.setdefault(name, set()), list(deps[name])
+            while todo:
+                dep = todo.pop()
+                if dep not in seen:
+                    seen.add(dep)
+                    todo.extend(deps[dep])
+        group = {
+            name: tuple(c for c in outputs if c == name
+                        or (c in reach[name] and name in reach[c]))
+            for name in outputs
+        }
+        # All nodes first, then edges, both in schema order: the
+        # insertion order fixes static_order(), which fixes the rowids
+        # of the generated tables.
+        sorter: TopologicalSorter = TopologicalSorter()
+        for name in outputs:
+            sorter.add(group[name])
+        for name in outputs:
+            for dep in deps[name]:
+                if group[dep] != group[name]:
+                    sorter.add(group[name], group[dep])
+        return list(sorter.static_order())
 
     def input_conjunction(self) -> BoolExpr:
         """Conjunction of constraints on input columns only.

@@ -36,15 +36,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import networkx as nx
-
 from ..telemetry import get_tracer, span
 
 from ..analysis.cycles import (
     canonical_cycle,
-    cyclic_vertices_networkx,
+    cyclic_vertices,
     cyclic_vertices_sql,
-    find_cycles_networkx,
+    find_cycles,
 )
 from .database import SNAPSHOT_SUPPORTED, IndexSpec, ProtocolDatabase
 from .quad import ALL_PLACEMENTS, Placement
@@ -816,7 +814,7 @@ class DeadlockAnalysis:
         self._edge_pairs = (
             list(edge_pairs) if edge_pairs is not None else None
         )
-        self._vcg: Optional[nx.DiGraph] = None
+        self._vcg: Optional[dict[str, frozenset[str]]] = None
 
     @property
     def dependency_rows(self) -> list[DependencyRow]:
@@ -840,35 +838,37 @@ class DeadlockAnalysis:
         return self._n_rows
 
     @property
-    def vcg(self) -> nx.DiGraph:
-        """The virtual channel dependency graph.  Dedicated channels are
-        unbounded hardware paths and contribute no vertices or edges."""
+    def vcg(self) -> dict[str, frozenset[str]]:
+        """The virtual channel dependency graph as an adjacency map from
+        every blocking channel (isolated ones included) to the channels
+        it waits on.  Dedicated channels are unbounded hardware paths
+        and contribute no vertices or edges."""
         if self._vcg is None:
-            g = nx.DiGraph()
             blocking = self.channels.blocking_channels()
-            g.add_nodes_from(sorted(blocking))
+            succ: dict[str, set[str]] = {vc: set() for vc in sorted(blocking)}
             pairs = self._edge_pairs
             if pairs is None:
                 pairs = {r.edge() for r in self.dependency_rows}
             for in_vc, out_vc in pairs:
                 if in_vc in blocking and out_vc in blocking:
-                    g.add_edge(in_vc, out_vc)
-            self._vcg = g
+                    succ[in_vc].add(out_vc)
+            self._vcg = {vc: frozenset(out) for vc, out in succ.items()}
         return self._vcg
 
     def edges(self) -> list[tuple[str, str]]:
-        return sorted(self.vcg.edges())
+        return sorted((src, dst) for src, out in self.vcg.items()
+                      for dst in out)
 
     def cycles(self) -> list[tuple[str, ...]]:
         """All elementary cycles of the VCG, canonical and sorted."""
-        return find_cycles_networkx(self.vcg.edges())
+        return find_cycles(self.edges())
 
     def cyclic_channels(self) -> set[str]:
-        return cyclic_vertices_networkx(self.vcg.edges())
+        return cyclic_vertices(self.edges())
 
     def cyclic_channels_sql(self) -> set[str]:
         """Pure-SQL recomputation of :meth:`cyclic_channels` (cross-check)."""
-        return cyclic_vertices_sql(self.vcg.edges())
+        return cyclic_vertices_sql(self.edges())
 
     def is_deadlock_free(self) -> bool:
         return not self.cyclic_channels()
@@ -921,8 +921,8 @@ class DeadlockAnalysis:
                 name="vcg-acyclic",
                 passed=not cycles,
                 description=(
-                    f"{self.vcg.number_of_nodes()} channels, "
-                    f"{self.vcg.number_of_edges()} dependencies, "
+                    f"{len(self.vcg)} channels, "
+                    f"{len(self.edges())} dependencies, "
                     f"{len(cycles)} cycle(s)"
                 ),
                 details=[self.scenario(c) for c in cycles],

@@ -337,7 +337,9 @@ class DeadlockRepairer:
         if journal_path is not None:
             if os.path.exists(journal_path) \
                     and os.path.getsize(journal_path) > 0:
-                _, units = load_journal(journal_path)
+                # Validate before replaying: a journal of a different
+                # base assignment must not leak fixes into this search.
+                _, units = load_journal(journal_path, expect=header)
                 for round_no in sorted(units):
                     fix = self._replay_fix(current, units[round_no])
                     applied.append(fix)

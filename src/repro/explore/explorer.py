@@ -811,24 +811,7 @@ class ReachabilityExplorer:
         return header
 
     def _load_resume(self, path: str) -> dict[int, dict]:
-        header, units = load_journal(path)
-        expected = self._journal_header()
-        for key, value in expected.items():
-            if header.get(key) != value:
-                raise JournalError(
-                    f"cannot resume: journal {path!r} was written by an "
-                    f"exploration with {key}={header.get(key)!r}, this run "
-                    f"has {key}={value!r}")
-        if "quads" not in expected and header.get("quads") is not None:
-            raise JournalError(
-                f"cannot resume: journal {path!r} was written by an "
-                f"exploration with quads={header['quads']!r}, this run "
-                f"has quads=None")
-        if "variant" not in expected and header.get("variant") is not None:
-            raise JournalError(
-                f"cannot resume: journal {path!r} was written by an "
-                f"exploration of variant={header['variant']!r}, this run "
-                f"explores the MESI baseline")
+        _, units = load_journal(path, expect=self._journal_header())
         return {int(d): data for d, data in units.items()}
 
     # -- the BFS --------------------------------------------------------------

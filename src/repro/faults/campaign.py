@@ -53,7 +53,6 @@ from ..core.invariants import InvariantChecker
 from ..core.table import LookupError_
 from ..runtime import (
     CheckpointJournal,
-    JournalError,
     RetryPolicy,
     call_with_retry,
     load_journal,
@@ -596,22 +595,6 @@ def _mutant_unit(payload: tuple) -> DetectionReport:
                        sim_ops, oracle, repair)
 
 
-def _load_resume_state(resume_from: str, header: dict) -> dict[int, dict]:
-    """Journaled completions keyed by mutant id, after validating that
-    the journal belongs to this campaign's parameters."""
-    journal_header, units = load_journal(resume_from)
-    # Symmetric comparison: a key present on either side must match, so
-    # a journal written *with* an optional stage (variant/oracle/repair)
-    # cannot seed a run without it any more than the reverse.
-    for key in sorted(set(header) | set(journal_header)):
-        if journal_header.get(key) != header.get(key):
-            raise JournalError(
-                f"cannot resume: journal {resume_from!r} was written by a "
-                f"campaign with {key}={journal_header.get(key)!r}, this "
-                f"run has {key}={header.get(key)!r}")
-    return {int(i): data for i, data in units.items()}
-
-
 def run_campaign(
     system=None,
     seed: int = 0,
@@ -744,7 +727,8 @@ def run_campaign(
             header["repair"] = repair_cfg
         completed: dict[int, dict] = {}
         if resume_from is not None:
-            completed = _load_resume_state(resume_from, header)
+            _, units = load_journal(resume_from, expect=header)
+            completed = {int(i): data for i, data in units.items()}
             if journal_path is None:
                 journal_path = resume_from
 

@@ -245,14 +245,29 @@ def _scan_live_records(
     return header_record, latest, order, total_units
 
 
-def load_journal(path: str) -> tuple[dict[str, Any], dict[Any, Any]]:
+def load_journal(
+    path: str, expect: Optional[dict[str, Any]] = None,
+) -> tuple[dict[str, Any], dict[Any, Any]]:
     """Read a journal back: ``(header, {unit_id: data})``.
 
     A torn final line (the record being written when the process was
     killed — malformed, or valid JSON missing its newline) is discarded;
     malformed lines anywhere else mean real corruption and raise
-    :class:`JournalError`.  Duplicate unit ids keep the latest record."""
+    :class:`JournalError`.  Duplicate unit ids keep the latest record.
+
+    With ``expect`` (the header the resuming run would write) the two
+    headers must match symmetrically: a key present on either side must
+    carry the same value on both, so a journal written with an optional
+    key (a variant, an oracle config, ...) cannot seed a run without it
+    any more than the reverse."""
     header, units, _ = _scan_journal(path)
     if header is None:
         raise JournalError(f"journal {path!r} has no header record")
+    if expect is not None:
+        for key in sorted(set(header) | set(expect)):
+            if header.get(key) != expect.get(key):
+                raise JournalError(
+                    f"cannot resume: journal {path!r} was written by a run "
+                    f"with {key}={header.get(key)!r}, this run has "
+                    f"{key}={expect.get(key)!r}")
     return header, units

@@ -14,8 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from ..analysis.coverage import CoverageRecorder, CoverageReport, coverage_report
 from ..core.deadlock import ChannelAssignment
 from ..telemetry import get_tracer, span
@@ -307,14 +305,33 @@ class Simulator:
                 or any(io.dev_ops for io in self.ios.values()))
 
     def _wait_cycle(self) -> list:
-        """A cycle in the channel wait-for graph of the last step, if any."""
-        g = nx.DiGraph()
+        """A cycle in the channel wait-for graph of the last step, if any:
+        the first back edge of a depth-first search that visits nodes and
+        successors in insertion order, as the path from the node it
+        revisits onward."""
+        succ: dict = {}
         for q1, q2 in self._blocked_edges:
-            g.add_edge(q1.key, q2.key)
-        try:
-            return [a for a, _ in nx.find_cycle(g)]
-        except nx.NetworkXNoCycle:
-            return []
+            succ.setdefault(q1.key, {})[q2.key] = None
+            succ.setdefault(q2.key, {})
+        explored: set = set()
+        for start in succ:
+            if start in explored:
+                continue
+            explored.add(start)
+            path, stack = [start], [iter(succ[start])]
+            while stack:
+                for nxt in stack[-1]:
+                    if nxt in path:
+                        return path[path.index(nxt):]
+                    if nxt not in explored:
+                        explored.add(nxt)
+                        path.append(nxt)
+                        stack.append(iter(succ[nxt]))
+                        break
+                else:
+                    stack.pop()
+                    path.pop()
+        return []
 
     def run(self, max_steps: Optional[int] = None) -> SimResult:
         """Run to quiescence, deadlock, or the step limit."""

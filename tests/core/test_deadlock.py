@@ -221,9 +221,9 @@ class TestAnalysis:
         ], dedicated=("PDED",))
         analysis = DeadlockAnalyzer(db, [a, b], v).analyze()
         assert analysis.is_deadlock_free()
-        assert "PDED" not in analysis.vcg.nodes
+        assert "PDED" not in analysis.vcg
 
-    def test_sql_and_networkx_cycle_detectors_agree(self, toy):
+    def test_sql_and_python_cycle_detectors_agree(self, toy):
         db, specs, v = toy
         analysis = DeadlockAnalyzer(db, specs, v).analyze()
         assert analysis.cyclic_channels() == analysis.cyclic_channels_sql()

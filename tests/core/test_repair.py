@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core.database import ProtocolDatabase
 from repro.core.deadlock import (
     ChannelAssignment,
@@ -86,6 +87,47 @@ class TestToyRepair:
         specs, v = toy_specs(db)
         text = DeadlockRepairer(db, specs, v).search().render()
         assert "repair search" in text and "deadlock-free" in text
+
+
+class TestRepairJournal:
+    def test_resume_replays_journaled_rounds(self, db, tmp_path):
+        specs, v = toy_specs(db)
+        journal = str(tmp_path / "repair.jsonl")
+        first = DeadlockRepairer(db, specs, v).search(journal_path=journal)
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            resumed = DeadlockRepairer(db, specs, v).search(
+                journal_path=journal)
+        assert tracer.registry.counter("repair.search.resumed_rounds") == \
+            len(first.applied) > 0
+        assert resumed.evaluated == 0
+        assert [f.description for f in resumed.applied] == \
+            [f.description for f in first.applied]
+
+    def test_mismatched_base_journal_refused_before_replay(
+            self, db, tmp_path, monkeypatch):
+        from repro.runtime import JournalError
+        specs, v = toy_specs(db)
+        journal = tmp_path / "repair.jsonl"
+        DeadlockRepairer(db, specs, v).search(journal_path=str(journal))
+        written = journal.read_bytes()
+        # Same assignment name, different channel map: another base.
+        other = ChannelAssignment("toy", [
+            VCAssignment("fwd", "home", "remote", "VC3"),
+            VCAssignment("resp", "remote", "home", "VC2"),
+        ])
+        repairer = DeadlockRepairer(db, specs, other)
+        replayed = []
+        replay = repairer._replay_fix
+        monkeypatch.setattr(repairer, "_replay_fix",
+                            lambda *a: replayed.append(a) or replay(*a))
+        tracer = telemetry.Tracer()
+        with telemetry.use_tracer(tracer):
+            with pytest.raises(JournalError, match="base_digest"):
+                repairer.search(journal_path=str(journal))
+        assert replayed == []
+        assert tracer.registry.counter("repair.search.resumed_rounds") == 0
+        assert journal.read_bytes() == written
 
 
 class TestAsuraRepair:

@@ -7,11 +7,11 @@ stay in lockstep on *every* family member, clean or mutated:
 * the batched invariant sweep vs the per-invariant checker;
 * the compiled transition kernels vs the interpreted explorer.
 
-Plus the golden-matrix regressions: the MESI baseline's eight generated
-tables are byte-identical to the committed fixture (the family refactor
-is a pure generalization), and the MOESI/MESIF detection matrices are
-gated against committed fixtures through the same prefix-stable
-``compare_to_baseline`` CI uses.
+Plus the golden-matrix regressions: every member's eight generated
+tables are byte-identical to its committed fixture (the MESI one
+predates the family refactor, which is a pure generalization), and the
+MOESI/MESIF detection matrices are gated against committed fixtures
+through the same prefix-stable ``compare_to_baseline`` CI uses.
 """
 
 import hashlib
@@ -62,7 +62,7 @@ def family():
 
 def table_digests(system):
     """Deterministic content digest of each generated controller table
-    (the format of ``fixtures/golden_mesi_tables.json``)."""
+    (the format of ``fixtures/golden_<variant>_tables.json``)."""
     out = {}
     for name, table in system.tables.items():
         cols = list(table.schema.column_names)
@@ -78,14 +78,16 @@ def table_digests(system):
 
 
 class TestGoldenMesi:
-    """The family generator must reproduce the historical MESI tables
-    bit for bit: same columns, same rows, same content digests."""
+    """The family generator must reproduce every member's historical
+    tables bit for bit: same columns, same rows (in rowid order, which
+    the generation plan fixes), same content digests."""
 
-    def test_mesi_tables_byte_identical_to_golden(self, family):
-        with open(FIXTURES / "golden_mesi_tables.json",
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tables_byte_identical_to_golden(self, family, variant):
+        with open(FIXTURES / f"golden_{variant}_tables.json",
                   encoding="utf-8") as fh:
             golden = json.load(fh)
-        assert table_digests(family("mesi")) == golden
+        assert table_digests(family(variant)) == golden
 
     def test_mesi_database_carries_no_variant_marker(self, family):
         db = family("mesi").db

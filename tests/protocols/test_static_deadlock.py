@@ -71,7 +71,7 @@ class TestV5D:
         assert analyses["v5d"].cycles() == []
 
     def test_dedicated_channel_not_in_vcg(self, analyses):
-        assert "PDM" not in analyses["v5d"].vcg.nodes
+        assert "PDM" not in analyses["v5d"].vcg
 
     def test_report_passes(self, analyses):
         assert analyses["v5d"].report().passed

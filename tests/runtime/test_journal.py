@@ -149,6 +149,25 @@ class TestJournalFailureModes:
         with pytest.raises(JournalError, match="cannot read"):
             load_journal(str(tmp_path / "nope.jsonl"))
 
+    @pytest.mark.parametrize("written, expected, key", [
+        ({"kind": "t", "seed": 1}, {"kind": "t", "seed": 2}, "seed"),
+        ({"kind": "t", "variant": "moesi"}, {"kind": "t"}, "variant"),
+        ({"kind": "t"}, {"kind": "t", "quads": 3}, "quads"),
+    ])
+    def test_expected_header_checked_symmetrically(self, tmp_path, written,
+                                                   expected, key):
+        path = str(tmp_path / "j.jsonl")
+        CheckpointJournal.open(path, written).close()
+        with pytest.raises(JournalError, match=f"{key}="):
+            load_journal(path, expect=expected)
+
+    def test_expected_header_match_loads(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        with CheckpointJournal.open(path, {"kind": "t", "seed": 1}) as j:
+            j.record(0, "a")
+        assert load_journal(path, expect={"kind": "t", "seed": 1}) == \
+            ({"kind": "t", "seed": 1}, {0: "a"})
+
 
 class TestAtomicWrites:
     def test_json_round_trip(self, tmp_path):

@@ -51,6 +51,11 @@ class TestFigure4:
         res = figure4_scenario(system, "v5").run()
         assert res.status == "deadlock"
         assert set(res.deadlock_cycle) == {("VC2", 1), ("VC4", 1)}
+        # The wait-for cycle is reported from the first channel the
+        # search revisits, so the exact line is pinned, not just the set.
+        assert res.deadlock_cycle == [("VC2", 1), ("VC4", 1)]
+        assert res.deadlock_report.splitlines()[-1] == \
+            "  wait cycle: VC2@q1 -> VC4@q1"
 
     def test_v5_deadlock_report_names_messages(self, system):
         res = figure4_scenario(system, "v5").run()
@@ -77,6 +82,7 @@ class TestFigure4:
         res = figure4_scenario(system, "v4").run()
         assert res.status in ("deadlock", "maxsteps")
         assert res.status == "deadlock"
+        assert res.deadlock_report.splitlines()[-1] == "  wait cycle: VC0@q1"
 
 
 class TestQuiescence:
