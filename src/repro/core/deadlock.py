@@ -59,6 +59,8 @@ __all__ = [
     "DependencyRow",
     "DeadlockAnalyzer",
     "DeadlockAnalysis",
+    "SkeletonPair",
+    "skeleton_edges",
 ]
 
 
@@ -232,6 +234,44 @@ def _dep_index_specs(table: str) -> tuple[IndexSpec, ...]:
         IndexSpec(table, ("placement", "in_msg", "in_vc", "out_msg", "out_vc"),
                   name=table + "_dedup"),
     )
+
+
+#: One dependency-skeleton entry: a controller name plus the input and
+#: output ``(message, src, dst)`` keys of one direct dependency row.
+SkeletonPair = tuple[str, tuple[str, str, str], tuple[str, str, str]]
+
+
+def skeleton_edges(skeleton: Iterable[SkeletonPair],
+                   channels: ChannelAssignment) -> list[tuple[str, str]]:
+    """The sorted VCG edges of V = ``channels`` over a dependency skeleton.
+
+    The same edges as :meth:`DeadlockAnalyzer.analyze` in its default mode
+    (all five placements, messages ignored, one pairwise round), computed
+    without a single dependency row: each pair gives the direct edge
+    ``(V[in], V[out])``; under each placement, pair ``a`` composes with a
+    pair ``b`` of another controller when ``a``'s output and ``b``'s input
+    ride the same non-dedicated channel between the same role-substituted
+    endpoints, giving ``(V[a.in], V[b.out])``.  Only edges between
+    blocking channels are kept."""
+    lookup = channels.lookup
+    dedicated = channels.dedicated
+    routed = [(c, i, o, lookup(*i), lookup(*o)) for c, i, o in skeleton]
+    edges = {(in_vc, out_vc) for *_, in_vc, out_vc in routed}
+    for placement in ALL_PLACEMENTS:
+        sub = placement.substitution
+        entering: dict[tuple[str, str, str], set[tuple[str, str]]] = {}
+        for c, (_, s, d), _, in_vc, out_vc in routed:
+            key = (sub.get(s, s), sub.get(d, d), in_vc)
+            entering.setdefault(key, set()).add((c, out_vc))
+        for c, _, (_, s, d), in_vc, via in routed:
+            if via in dedicated:
+                continue
+            key = (sub.get(s, s), sub.get(d, d), via)
+            for c_b, out_vc in entering.get(key, ()):
+                if c_b != c:
+                    edges.add((in_vc, out_vc))
+    return sorted((a, b) for a, b in edges
+                  if a not in dedicated and b not in dedicated)
 
 
 class DeadlockAnalyzer:
@@ -411,6 +451,46 @@ class DeadlockAnalyzer:
             f"INSERT INTO {quote_ident(table)}\n"
             f"SELECT {cols} FROM (\n" + "\nUNION ALL\n".join(branches) +
             f"\n) ORDER BY r, k"
+        )
+
+    # -- the channel-free dependency skeleton -----------------------------------
+    def dependency_skeleton(self) -> tuple[SkeletonPair, ...]:
+        """Check that V covers every message of every spec (raising the
+        same :class:`MissingAssignmentError` as :meth:`analyze`), then read
+        the channel-free skeleton of the direct extraction: the distinct
+        ``(controller, input (m, s, d), output (m, s, d))`` pairs, spec by
+        spec in first-occurrence (row-major) order.
+
+        The default-mode VCG of any V over the same tables is a pure
+        function of V over these pairs (:func:`skeleton_edges`)."""
+        v_table = self._assignment_table()
+        pairs: list[SkeletonPair] = []
+        for spec in self.specs:
+            self._check_assignments_sql(spec, v_table)
+            for r in self.db.query_tuples(self._skeleton_sql(spec)):
+                pairs.append((spec.name, r[:3], r[3:]))
+        return tuple(pairs)
+
+    @staticmethod
+    def _skeleton_sql(spec: ControllerMessageSpec) -> str:
+        """:meth:`_direct_sql`'s projection without the two V joins: the
+        distinct message pairs, ordered by first occurrence."""
+        it = spec.input_triple
+        n = len(spec.output_triples)
+        branches = []
+        for k, ot in enumerate(spec.output_triples):
+            cols = [quote_ident(c) for c in (it.msg, it.src, it.dst,
+                                             ot.msg, ot.src, ot.dst)]
+            branches.append(
+                f"SELECT rowid * {n} + {k} AS o, "
+                + ", ".join(f"{c} AS c{j}" for j, c in enumerate(cols))
+                + f" FROM {quote_ident(spec.controller.table_name)} WHERE "
+                + " AND ".join(f"{c} IS NOT NULL" for c in cols)
+            )
+        return (
+            "SELECT c0, c1, c2, c3, c4, c5 FROM (\n"
+            + "\nUNION ALL\n".join(branches)
+            + "\n) GROUP BY c0, c1, c2, c3, c4, c5 ORDER BY MIN(o)"
         )
 
     def _derive_sql(self, exact_table: str, placement: Placement,

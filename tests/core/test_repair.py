@@ -10,7 +10,8 @@ from repro.core.deadlock import (
     MessageTriple,
     VCAssignment,
 )
-from repro.core.repair import DeadlockRepairer, Fix
+from repro.core import repair as repair_mod
+from repro.core.repair import DeadlockRepairer, Fix, RepairResult
 from repro.core.schema import Column, Role, TableSchema
 from repro.core.table import ControllerTable
 
@@ -128,6 +129,31 @@ class TestRepairJournal:
         assert replayed == []
         assert tracer.registry.counter("repair.search.resumed_rounds") == 0
         assert journal.read_bytes() == written
+
+
+class TestReverify:
+    def test_disagreeing_skeleton_fails_the_fix(self, db, monkeypatch):
+        """Equal cycle *counts* are not enough: a skeleton reporting as
+        many cycles as both full engines, but different ones, must fail
+        re-verification."""
+        specs, v = toy_specs(db)
+        repairer = DeadlockRepairer(db, specs, v)
+        # A no-op "fix" leaves the toy's cycles in place.
+        cycles = repairer.search(max_rounds=0).initial_cycles
+        assert cycles
+        noop = Fix(kind="move", description="no-op", assignment=v)
+        result = RepairResult(initial_cycles=cycles, applied=[noop],
+                              final_assignment=v, final_cycles=cycles,
+                              evaluated=0, seconds=0.0)
+        # As many self-loops as real cycles, on channels V does not have.
+        fake = [(f"X{i}", f"X{i}") for i in range(len(cycles))]
+        monkeypatch.setattr(repair_mod, "skeleton_edges",
+                            lambda skeleton, channels: fake)
+        (verdict,) = repairer.reverify(result)
+        assert verdict["deadlock_sql"]["cycles"] == len(cycles)
+        assert verdict["deadlock_python"]["cycles"] == len(cycles)
+        assert not verdict["engines_agree"]
+        assert not verdict["ok"]
 
 
 class TestAsuraRepair:

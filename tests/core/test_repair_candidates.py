@@ -81,3 +81,18 @@ class TestCandidates:
         by_kind = {f.kind: f.cost for f in fixes}
         assert by_kind["move"] < by_kind["dedicate-message"] \
             < by_kind["dedicate-channel"]
+
+    def test_pair_fix_channels_avoid_existing_b_suffix(self, repairer):
+        """A V that already uses ``VCN0b`` must not get a pair fix that
+        routes onto it and marks the whole existing channel dedicated."""
+        base = repairer.base.reassigned(
+            "v-b", {("b", "home", "local"): "VCN0b"})
+        fixes = repairer.candidates(base, [("VC0", "VCN0b")])
+        pairs = [f for f in fixes
+                 if f.kind == "dedicate-message" and len(f.changes) == 2]
+        assert pairs
+        existing = base.channels() | base.dedicated
+        for fix in pairs:
+            assert not set(fix.dedicated) & existing, fix.description
+            assert {c[3] for c in fix.changes}.isdisjoint(existing)
+            assert len({c[3] for c in fix.changes}) == 2
