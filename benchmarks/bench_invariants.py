@@ -15,13 +15,17 @@ sweep is batched (one UNION ALL query for the whole suite); see
 ``docs/PERFORMANCE.md``.
 """
 
+from repro.core.database import ProtocolDatabase
+from repro.faults.mutations import Mutation
 from repro.protocols.asura.invariants import build_invariants
+from repro.protocols.family import attach_variant
 
 #: fixed pedantic rounds per benchmark — keep in sync with the docstring.
 ROUNDS_FULL = 50
 ROUNDS_FOUR = 50
 ROUNDS_LIVENESS = 100
 ROUNDS_DETERMINISM = 50
+ROUNDS_RELAXED = 10
 
 
 def test_full_invariant_suite(benchmark, system):
@@ -73,3 +77,24 @@ def test_determinism_check_all_tables(benchmark, system):
         run, rounds=ROUNDS_DETERMINISM, iterations=1, warmup_rounds=2,
     )
     assert all(not o for o in overlaps)
+
+
+def test_determinism_relaxed_directory(benchmark, system):
+    """The determinism check on MESI's D with ``memmsgsrc`` relaxed to
+    TRUE and the table regenerated (1096 rows, 1644 overlapping pairs):
+    what a relax-constraint mutant hands the campaign's invariant layer."""
+    relax = Mutation(mutant_id=0, fault_class="relax-constraint",
+                     target="D", description="D.memmsgsrc relaxed",
+                     relaxed_column="memmsgsrc")
+    clone = attach_variant(ProtocolDatabase.deserialize(system.db.snapshot()))
+    try:
+        relax.apply_to(clone)
+        table = clone.tables["D"]
+        assert table.row_count == 1096
+        overlaps = benchmark.pedantic(
+            table.find_overlapping_rows,
+            rounds=ROUNDS_RELAXED, iterations=1, warmup_rounds=1,
+        )
+    finally:
+        clone.db.close()
+    assert len(overlaps) == 1644

@@ -147,6 +147,17 @@ class ConstraintSet:
         self.set(column, expr)
         return previous
 
+    def copy(self) -> "ConstraintSet":
+        """A private copy: :meth:`replace` on it leaves this set alone.
+
+        Schemas and column constraints are immutable, so they are shared
+        and not validated again; only the column -> constraint map is
+        copied."""
+        clone = ConstraintSet.__new__(ConstraintSet)
+        clone.schema = self.schema
+        clone._by_column = dict(self._by_column)
+        return clone
+
     def get(self, column: str) -> ColumnConstraint:
         """The constraint for ``column``; TRUE if unconstrained."""
         self.schema.column(column)  # raises on unknown columns

@@ -9,6 +9,7 @@ projection, and summary statistics.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -18,6 +19,11 @@ from .schema import Role, SchemaError, TableSchema
 from .sqlgen import quote_ident
 
 __all__ = ["ControllerTable", "LookupError_", "AmbiguousMatchError", "NoMatchError"]
+
+#: Branches per compound SELECT of the determinism check
+#: (:meth:`ControllerTable.find_overlapping_rows`), well below SQLite's
+#: default limit of 500 terms in one compound SELECT.
+MAX_OVERLAP_BRANCHES = 100
 
 
 class LookupError_(RuntimeError):
@@ -97,12 +103,12 @@ class ControllerTable:
         table through this so its matches report the same rowids coverage
         analysis records for the interpreted path.
         """
-        sql = (f"SELECT rowid AS __rowid__, * "
+        names = self.schema.column_names
+        cols = ", ".join(quote_ident(c) for c in names)
+        sql = (f"SELECT rowid, {cols} "
                f"FROM {quote_ident(self.table_name)} ORDER BY rowid")
-        return [
-            (r["__rowid__"], {c: r[c] for c in self.schema.column_names})
-            for r in self.db.query(sql)
-        ]
+        return [(r[0], dict(zip(names, r[1:])))
+                for r in self.db.query_tuples(sql)]
 
     def distinct(self, column: str) -> list[Value]:
         self.schema.column(column)
@@ -182,34 +188,59 @@ class ControllerTable:
         are equal or at least one is a dontcare NULL; an overlap means some
         concrete input matches both rows.  A deterministic controller has
         no overlaps.
+
+        The check is a set-based join partitioned by NULL mask (which
+        input columns of a row are dontcares).  One ``SELECT DISTINCT``
+        finds the table's masks; for each unordered pair of masks, rows
+        of the two masks overlap exactly when they agree on every input
+        column that is non-NULL in both, an equi-join SQLite answers
+        through an automatic index.  The branches are ``UNION ALL``'d in
+        chunks of at most :data:`MAX_OVERLAP_BRANCHES` (below SQLite's
+        500-term compound limit), each pair reported once as ``(lower
+        rowid, higher rowid)``, and the pairs come back in rowid order.
+        The rows are then read in one query; a row that overlaps several
+        others is the same dict in each of its pairs.
         """
-        input_names = self.schema.input_names
-        if not input_names:
+        inputs = [quote_ident(c) for c in self.schema.input_names]
+        if not inputs:
             return []
-        conds = []
-        for name in input_names:
-            q = quote_ident(name)
-            conds.append(f"(a.{q} IS b.{q} OR a.{q} IS NULL OR b.{q} IS NULL)")
         t = quote_ident(self.table_name)
-        sql = (
-            f"SELECT a.rowid AS __ra, b.rowid AS __rb FROM {t} a JOIN {t} b "
-            f"ON a.rowid < b.rowid AND " + " AND ".join(conds)
-        )
-        pairs = []
-        for hit in self.db.query(sql):
-            ra = self.db.query(
-                f"SELECT * FROM {t} WHERE rowid = ?", (hit["__ra"],)
-            )[0]
-            rb = self.db.query(
-                f"SELECT * FROM {t} WHERE rowid = ?", (hit["__rb"],)
-            )[0]
-            pairs.append(
-                (
-                    {c: ra[c] for c in self.schema.column_names},
-                    {c: rb[c] for c in self.schema.column_names},
-                )
-            )
-        return pairs
+        masks = sorted(self.db.query_tuples(
+            "SELECT DISTINCT " + ", ".join(f"{q} IS NULL" for q in inputs)
+            + f" FROM {t}"))
+        branches = [self._overlap_branch(inputs, m1, m2)
+                    for i, m1 in enumerate(masks) for m2 in masks[i:]]
+        chunks = [
+            self.db.query_tuples(
+                " UNION ALL ".join(branches[start:start + MAX_OVERLAP_BRANCHES])
+                + " ORDER BY 1, 2")
+            for start in range(0, len(branches), MAX_OVERLAP_BRANCHES)
+        ]
+        pairs = list(heapq.merge(*chunks))
+        if not pairs:
+            return []
+        rows = dict(self.rows_with_ids())
+        return [(rows[ra], rows[rb]) for ra, rb in pairs]
+
+    def _overlap_branch(self, inputs: Sequence[str], mask_a: tuple[int, ...],
+                        mask_b: tuple[int, ...]) -> str:
+        """The overlapping pairs between rows of NULL mask ``mask_a`` and
+        rows of NULL mask ``mask_b`` (one branch of the determinism join)."""
+        t = quote_ident(self.table_name)
+        conds = [f"a.{q} IS {'' if null else 'NOT '}NULL"
+                 for q, null in zip(inputs, mask_a)]
+        conds += [f"b.{q} IS {'' if null else 'NOT '}NULL"
+                  for q, null in zip(inputs, mask_b)]
+        conds += [f"a.{q} = b.{q}"
+                  for q, na, nb in zip(inputs, mask_a, mask_b)
+                  if not (na or nb)]
+        if mask_a == mask_b:
+            # Within one mask each pair is found from both sides.
+            conds.append("a.rowid < b.rowid")
+            cols = "a.rowid, b.rowid"
+        else:
+            cols = "min(a.rowid, b.rowid), max(a.rowid, b.rowid)"
+        return f"SELECT {cols} FROM {t} a JOIN {t} b ON " + " AND ".join(conds)
 
     def is_deterministic(self) -> bool:
         return not self.find_overlapping_rows()

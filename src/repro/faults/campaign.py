@@ -2,8 +2,9 @@
 
 Each sampled mutation is applied to a private clone of the generated
 system (database snapshot → :meth:`ProtocolDatabase.deserialize` →
-:meth:`AsuraSystem.from_database`) and pushed through the three detection
-layers in the paper's order:
+:func:`~repro.protocols.family.attach_variant`, which recovers the
+family member and attaches through :meth:`FamilySystem.from_database`)
+and pushed through the three detection layers in the paper's order:
 
 1. **invariants** — the behavioral suite + per-table determinism checks
    + the structural audits (conformance/completeness, see
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 
 from ..core.database import DatabaseError, ProtocolDatabase
 from ..core.deadlock import MissingAssignmentError
-from ..core.invariants import InvariantChecker
+from ..core.invariants import Invariant, InvariantChecker
 from ..core.table import LookupError_
 from ..runtime import (
     CheckpointJournal,
@@ -434,7 +435,8 @@ def _failure_report(mutation: Mutation, outcome: str, error: str,
 def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
                 clean_cycles: frozenset, sim_ops: int,
                 oracle: Optional[dict] = None,
-                repair: Optional[dict] = None) -> DetectionReport:
+                repair: Optional[dict] = None,
+                audits: Optional[list[Invariant]] = None) -> DetectionReport:
     """Clone the system, apply one mutation, and run the three layers
     (four with ``oracle``: bounded exhaustive exploration re-scores a
     mutant that survived everything else, turning "escaped" into either
@@ -450,7 +452,12 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
     the error count as a detection — a mutant that breaks both engines
     really did corrupt the tables, while a mutant that merely trips the
     optimized path still gets a genuine verdict (tagged
-    ``degraded=True``)."""
+    ``degraded=True``).
+
+    ``audits`` are the clean system's structural audits
+    (:func:`structural_invariants`), which are the same for every mutant
+    of a campaign; when omitted they are built from the clone before the
+    mutation lands."""
     from ..protocols.family import attach_variant
     from ..sim import figure2_scenario, random_workload
     from ..sim.models import SimProtocolError
@@ -465,9 +472,10 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
         # The variant marker inside the snapshot recovers the right
         # family member; an unmarked (MESI) snapshot attaches as before.
         system = attach_variant(db)
-        # Audits must capture the *clean* constraints, so build them
-        # before the mutation lands (relax-constraint edits them).
-        audits = structural_invariants(system)
+        if audits is None:
+            # Audits must capture the *clean* constraints, so build them
+            # before the mutation lands (relax-constraint edits them).
+            audits = structural_invariants(system)
         mutation.apply_to(system)
 
         # Layer 1: invariant sweep + determinism + structural audits.
@@ -590,9 +598,9 @@ def _mutant_unit(payload: tuple) -> DetectionReport:
     """Module-level unit adapter for :func:`repro.runtime.run_units`
     (must be picklable for ``isolation="process"``)."""
     (snapshot, mutation, assignment, clean_cycles, sim_ops, oracle,
-     repair) = payload
+     repair, audits) = payload
     return _run_mutant(snapshot, mutation, assignment, clean_cycles,
-                       sim_ops, oracle, repair)
+                       sim_ops, oracle, repair, audits)
 
 
 def run_campaign(
@@ -735,8 +743,10 @@ def run_campaign(
         # The clean system anchors every comparison; refuse to measure
         # detection against a baseline that is already failing.
         clean = system.check_invariants()
+        # Built once from the clean system and handed to every mutant.
+        audits = structural_invariants(system)
         checker = InvariantChecker(system.db)
-        checker.extend(structural_invariants(system))
+        checker.extend(audits)
         clean_audits = checker.check_all("clean audits")
         if not (clean.passed and clean_audits.passed):
             raise ValueError(
@@ -835,7 +845,7 @@ def run_campaign(
 
             units = [(m.mutant_id,
                       (snapshot, m, assignment, clean_cycles, sim_ops,
-                       unit_oracle, repair_cfg))
+                       unit_oracle, repair_cfg, audits))
                      for m in pending]
             unit_results = run_units(
                 units, _mutant_unit, workers=workers, isolation=isolation,

@@ -18,6 +18,7 @@ bytes are identical to what the pre-family code produced.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence
 
 from ...telemetry import get_tracer, span
@@ -73,6 +74,27 @@ def controller_builders(spec: FamilySpec) -> dict[str, Callable[[], ConstraintSe
     }
 
 
+#: Per-process constraint templates, one per family member.  Building
+#: and validating a member's 8 constraint sets costs more than attaching
+#: a cloned database, and every system of a member starts from the same
+#: constraints; each system gets private copies of the template.
+_TEMPLATES: dict[FamilySpec, dict[str, ConstraintSet]] = {}
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _constraint_sets(spec: FamilySpec) -> dict[str, ConstraintSet]:
+    """Private copies (:meth:`ConstraintSet.copy`) of the member's 8
+    clean constraint sets.  The template is built once per process,
+    under a lock so thread workers attaching concurrently share one."""
+    with _TEMPLATES_LOCK:
+        template = _TEMPLATES.get(spec)
+        if template is None:
+            template = {name: build()
+                        for name, build in controller_builders(spec).items()}
+            _TEMPLATES[spec] = template
+    return {name: cs.copy() for name, cs in template.items()}
+
+
 def write_variant_marker(db: ProtocolDatabase, spec: FamilySpec) -> None:
     """Stamp a non-MESI database with its variant key (MESI: no-op)."""
     if spec.key == MESI.key:
@@ -99,15 +121,12 @@ class FamilySystem:
             spec = get_spec(spec)
         self.spec = spec
         self.db = db or ProtocolDatabase()
-        self.constraint_sets: dict[str, ConstraintSet] = {}
         self.generation_results: dict[str, GenerationResult] = {}
         self.tables: dict[str, ControllerTable] = {}
-        builders = controller_builders(spec)
-        with span("system.build", controllers=len(builders),
+        self.constraint_sets: dict[str, ConstraintSet] = _constraint_sets(spec)
+        with span("system.build", controllers=len(self.constraint_sets),
                   variant=spec.key) as sp:
-            for name, builder in builders.items():
-                cs = builder()
-                self.constraint_sets[name] = cs
+            for name, cs in self.constraint_sets.items():
                 result = TableGenerator(self.db, cs, table_name=name).generate_incremental()
                 self.generation_results[name] = result
                 self.tables[name] = result.table
@@ -138,15 +157,12 @@ class FamilySystem:
         self = cls.__new__(cls)
         self.spec = spec
         self.db = db
-        self.constraint_sets = {}
         self.generation_results = {}
         self.tables = {}
-        builders = controller_builders(spec)
-        with span("system.attach", controllers=len(builders),
+        self.constraint_sets = _constraint_sets(spec)
+        with span("system.attach", controllers=len(self.constraint_sets),
                   variant=spec.key):
-            for name, builder in builders.items():
-                cs = builder()
-                self.constraint_sets[name] = cs
+            for name, cs in self.constraint_sets.items():
                 self.tables[name] = ControllerTable(db, cs.schema, name)
             self.generation_seconds = 0.0
             if not db.table_exists(family_invariants.BUSY_STATE_HELPER_TABLE):

@@ -23,12 +23,10 @@ class TestCrashedWorkers:
     def test_one_crash_keeps_the_campaign_going(self, system, monkeypatch):
         orig = campaign_mod._run_mutant
 
-        def exploding(snapshot, mutation, assignment, clean_cycles,
-                      sim_ops, oracle=None, repair=None):
+        def exploding(snapshot, mutation, *args, **kwargs):
             if mutation.mutant_id == 1:
                 raise RuntimeError("synthetic worker crash")
-            return orig(snapshot, mutation, assignment, clean_cycles,
-                        sim_ops)
+            return orig(snapshot, mutation, *args, **kwargs)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", exploding)
         result = run_campaign(system=system, seed=0, count=3, workers=2)
@@ -126,11 +124,9 @@ class TestJournalAndResume:
         executed = []
         orig = campaign_mod._run_mutant
 
-        def counting(snapshot, mutation, assignment, clean_cycles,
-                     sim_ops, oracle=None, repair=None):
+        def counting(snapshot, mutation, *args, **kwargs):
             executed.append(mutation.mutant_id)
-            return orig(snapshot, mutation, assignment, clean_cycles,
-                        sim_ops)
+            return orig(snapshot, mutation, *args, **kwargs)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", counting)
         resumed = run_campaign(system=system, seed=0, count=6, workers=2,
@@ -180,12 +176,10 @@ class TestProcessIsolation:
     def test_watchdog_reaps_hung_mutant(self, system, monkeypatch):
         orig = campaign_mod._run_mutant
 
-        def hanging(snapshot, mutation, assignment, clean_cycles,
-                    sim_ops, oracle=None, repair=None):
+        def hanging(snapshot, mutation, *args, **kwargs):
             if mutation.mutant_id == 0:
                 time.sleep(120)  # forked child inherits this patch
-            return orig(snapshot, mutation, assignment, clean_cycles,
-                        sim_ops)
+            return orig(snapshot, mutation, *args, **kwargs)
 
         monkeypatch.setattr(campaign_mod, "_run_mutant", hanging)
         t0 = time.monotonic()
