@@ -3,8 +3,9 @@
 F2: the Figure 2 read-exclusive transaction executes to completion.
 F4: the Figure 4 schedule deadlocks under v5 and completes under v5d.
 Plus throughput: messages processed per second of the table-driven
-execution (every transition is a SQL lookup against the generated
-tables — the artifact that was verified is the artifact that runs).
+execution (every transition is a lookup in a dispatch kernel compiled
+from the generated tables — the artifact that was verified is the
+artifact that runs).
 """
 
 import pytest

@@ -30,9 +30,6 @@ Pipeline, following the paper step by step:
 
 from __future__ import annotations
 
-import os
-import sqlite3
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -44,7 +41,7 @@ from ..analysis.cycles import (
     cyclic_vertices_sql,
     find_cycles,
 )
-from .database import SNAPSHOT_SUPPORTED, IndexSpec, ProtocolDatabase
+from .database import IndexSpec, ProtocolDatabase
 from .quad import ALL_PLACEMENTS, Placement
 from .report import CheckResult, Report
 from .sqlgen import quote_ident, quote_value
@@ -284,10 +281,8 @@ class DeadlockAnalyzer:
       database: direct dependencies are extracted by joining each
       controller table against V, placements are derived with CASE
       substitutions, and composition is an indexed self-join.  Rows never
-      round-trip through Python.  With ``workers > 1`` (and Python 3.11+,
-      see :data:`~repro.core.database.SNAPSHOT_SUPPORTED`) the quad
-      placements fan out across threads, each composing against a private
-      ``serialize()``/``deserialize()`` snapshot of the central database.
+      round-trip through Python.  Every statement runs on the one
+      (traced) connection of ``db``.
     * ``engine="python"`` — the original row-at-a-time extraction loops,
       kept as the oracle the parity tests compare against.
     """
@@ -298,7 +293,6 @@ class DeadlockAnalyzer:
         specs: Sequence[ControllerMessageSpec],
         channels: ChannelAssignment,
         engine: str = "sql",
-        workers: Optional[int] = None,
     ) -> None:
         if engine not in ("sql", "python"):
             raise ValueError(f"unknown deadlock engine {engine!r}")
@@ -306,7 +300,6 @@ class DeadlockAnalyzer:
         self.specs = tuple(specs)
         self.channels = channels
         self.engine = engine
-        self.workers = workers
 
     # -- step 2: individual controller dependency tables -----------------------
     def controller_dependency_rows(
@@ -655,78 +648,6 @@ class DeadlockAnalyzer:
             if added == 0:
                 return added_total
 
-    # -- parallel composition over snapshots -------------------------------------
-    def _worker_compose(
-        self,
-        snapshot: bytes,
-        placement: Placement,
-        exact_table: str,
-        ignore_messages: bool,
-        closure: bool,
-    ) -> tuple[list[tuple], int]:
-        """One worker: derive ``placement``'s table inside a private
-        deserialized copy of the database, compose it there, and return
-        the finished rows.  Runs on a plain connection (no tracer — the
-        tracer is not thread-safe) owned entirely by this thread."""
-        conn = sqlite3.connect(":memory:")
-        try:
-            conn.deserialize(snapshot)
-            cols = ", ".join(f"{quote_ident(c)} TEXT" for c in _DEP_COLUMNS)
-            conn.execute(f"CREATE TABLE __w ({cols})")
-            conn.execute(self._derive_sql(exact_table, placement, "__w"))
-            for spec in _dep_index_specs("__w"):
-                conn.execute(spec.sql())
-            stmts = self._compose_round_stmts("__w", ignore_messages, closure)
-            count = "SELECT COUNT(*) FROM __w"
-            composed = 0
-            while True:
-                before = conn.execute(count).fetchone()[0]
-                for stmt in stmts:
-                    conn.execute(stmt)
-                added = conn.execute(count).fetchone()[0] - before
-                composed += added
-                if added == 0 or not closure:
-                    break
-            rows = conn.execute(
-                "SELECT " + ", ".join(_DEP_COLUMNS) + " FROM __w ORDER BY rowid"
-            ).fetchall()
-            return rows, composed
-        finally:
-            conn.close()
-
-    def _compose_parallel(
-        self,
-        table: str,
-        exact_table: str,
-        placements: Sequence[Placement],
-        ignore_messages: bool,
-        closure: bool,
-        workers: int,
-    ) -> None:
-        """Fan the placements out across snapshot workers, then collect
-        their finished per-placement tables back into ``table`` (direct
-        rows first, in placement order, matching the sequential layout)."""
-        snapshot = self.db.snapshot()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda p: self._worker_compose(
-                    snapshot, p, exact_table, ignore_messages, closure),
-                placements,
-            ))
-        derived_idx = _DEP_COLUMNS.index("derived")
-        cols = ", ".join(quote_ident(c) for c in _DEP_COLUMNS)
-        marks = ", ".join("?" for _ in _DEP_COLUMNS)
-        insert = f"INSERT INTO {quote_ident(table)} ({cols}) VALUES ({marks})"
-        composed_total = 0
-        for rows, _ in results:
-            self.db.executemany(
-                insert, [r for r in rows if r[derived_idx] == "direct"])
-        for rows, composed in results:
-            self.db.executemany(
-                insert, [r for r in rows if r[derived_idx] == "composed"])
-            composed_total += composed
-        get_tracer().incr("deadlock.compositions", composed_total)
-
     # -- the full pipeline -------------------------------------------------------
     def _analyze_python(
         self,
@@ -767,16 +688,9 @@ class DeadlockAnalyzer:
         placements: Sequence[Placement],
         ignore_messages: bool,
         closure: bool,
-        workers: Optional[int],
     ) -> None:
         """The set-based pipeline: extraction, derivation and composition
         all happen inside the database."""
-        if workers is None:
-            workers = self.workers
-        if workers is None:
-            workers = min(len(placements), os.cpu_count() or 1)
-        parallel = (workers > 1 and len(placements) > 1 and SNAPSHOT_SUPPORTED)
-
         exact = f"__exact_{table}"
         with span("deadlock.direct", assignment=self.channels.name,
                   engine="sql"):
@@ -788,22 +702,16 @@ class DeadlockAnalyzer:
 
         with span("deadlock.materialize", table=table, engine="sql"):
             self.db.create_table(table, _DEP_COLUMNS)
-            if not parallel:
-                for placement in placements:
-                    self.db.execute(self._derive_sql(exact, placement, table))
+            for placement in placements:
+                self.db.execute(self._derive_sql(exact, placement, table))
             for spec in _dep_index_specs(table):
                 self.db.create_index(spec)
 
-        with span("deadlock.compose", table=table, closure=closure,
-                  parallel=parallel):
-            if parallel:
-                self._compose_parallel(table, exact, placements,
-                                       ignore_messages, closure, workers)
+        with span("deadlock.compose", table=table, closure=closure):
+            if closure:
+                self._compose_closure_sql(table, ignore_messages)
             else:
-                if closure:
-                    self._compose_closure_sql(table, ignore_messages)
-                else:
-                    self._compose_pairwise_sql(table, ignore_messages)
+                self._compose_pairwise_sql(table, ignore_messages)
         self.db.drop_table(exact)
 
     def analyze(
@@ -813,7 +721,6 @@ class DeadlockAnalyzer:
         closure: bool = False,
         table_name: Optional[str] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> "DeadlockAnalysis":
         engine = engine or self.engine
         if engine not in ("sql", "python"):
@@ -829,7 +736,7 @@ class DeadlockAnalyzer:
                 n_rows = len(rows)
             else:
                 self._analyze_sql(table, placements, ignore_messages,
-                                  closure, workers)
+                                  closure)
                 # Pull only the aggregates the VCG needs; the full rows
                 # stay in the database until a witness report asks.
                 n_rows = self.db.row_count(table)

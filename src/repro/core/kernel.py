@@ -11,7 +11,10 @@ and the error classes *and message strings* are the same — the explorer
 pins hole-violation details on those strings, so the compiled and
 interpreted kernels must raise identically.
 
-:func:`compile_system_kernels` compiles the tables a simulator executes;
+:func:`compile_system_kernels` compiles the tables a simulator executes
+— the explorer and every scenario workload builder
+(:mod:`repro.sim.workloads`) run on its output, so the verified rows are
+the implementation that runs (the paper's section 5 mapping step);
 :class:`KernelSystem` wraps them in the minimal system shape
 :class:`~repro.sim.system.Simulator` needs, which is how worker pools
 rebuild a simulator from pickled rows without shipping a database.

@@ -100,10 +100,10 @@ class Simulator:
     ) -> None:
         self.system = system
         self.config = config or SimConfig()
-        # The models execute self.tables; injecting compiled KernelTables
-        # here swaps the SQL lookup path for the dispatch kernels while
-        # everything else (scheduler, fabric, commit rules) is shared —
-        # the kernel-vs-simulator parity hook.
+        # The models execute self.tables: the SQL-backed tables by
+        # default (the interpreted oracle), or the compiled KernelTables
+        # the workload builders and the explorer inject.  Everything else
+        # (scheduler, fabric, commit rules) is shared by both backends.
         self.tables = dict(tables) if tables is not None else system.tables
         self.channels: ChannelAssignment = system.channel_assignments[assignment]
         capacities = dict(self.config.capacities)

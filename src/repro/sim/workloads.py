@@ -20,6 +20,11 @@
   device-initiated IO operations no fixed scenario issues — optionally
   starting from an explorer frontier state sampled out of a
   ``SuccessorStore``.
+
+Every builder runs its simulator on the tables' compiled dispatch
+kernels (:mod:`repro.core.kernel`), so a workload's ``run()`` issues no
+SQL; a bare ``Simulator(system, ...)`` still executes the SQL tables and
+is the interpreted oracle the kernels are parity-tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..analysis.coverage import CoverageRecorder, read_ledger
+from ..core.kernel import compile_system_kernels
 from ..protocols.asura.system import AsuraSystem
 from ..telemetry import get_tracer
 from .system import SimConfig, Simulator
@@ -77,6 +83,13 @@ class Workload:
         return self.simulator.run(max_steps)
 
 
+def _simulator(system: AsuraSystem, assignment: str,
+               config: SimConfig) -> Simulator:
+    """A simulator executing ``system``'s tables as compiled kernels."""
+    return Simulator(system, assignment=assignment, config=config,
+                     tables=compile_system_kernels(system))
+
+
 def figure2_scenario(system: AsuraSystem, assignment: str = "v5d") -> Workload:
     """Figure 2: readex at D with the line cached SI at a remote node."""
     config = SimConfig(
@@ -85,7 +98,7 @@ def figure2_scenario(system: AsuraSystem, assignment: str = "v5d") -> Workload:
         default_capacity=2,
         home_map={"X": 0},
     )
-    sim = Simulator(system, assignment=assignment, config=config)
+    sim = _simulator(system, assignment, config)
     # Line X homed at quad 0; node:0.1 (a remote node of the home quad)
     # holds it shared; node:1.0 is the local requester.
     sim.preset_line("X", "SI", {"node:0.1": "S"})
@@ -116,7 +129,7 @@ def figure4_scenario(system: AsuraSystem, assignment: str = "v5") -> Workload:
         # checking for the deadlock: back off beyond the step limit.
         reissue_delay=10**6,
     )
-    sim = Simulator(system, assignment=assignment, config=config)
+    sim = _simulator(system, assignment, config)
     local, remote = "node:0.0", "node:1.1"
     sim.preset_line("B", "MESI", {local: "M"})
     # A is clean-exclusive at the remote node: its eviction is a flush
@@ -154,7 +167,7 @@ def random_workload(
         home_map={f"L{i}": i % n_quads for i in range(n_lines)},
         reissue_delay=6,
     )
-    sim = Simulator(system, assignment=assignment, config=config)
+    sim = _simulator(system, assignment, config)
     nodes = list(sim.nodes)
     addrs = [f"L{i}" for i in range(n_lines)]
     ops = []
@@ -226,7 +239,8 @@ def _frontier_preset(system, frontier_dir: str, assignment: str,
     if not samples:
         return None
     home_map = {f"L{i}": 0 for i in range(lines)}
-    sim = _open_space(config).simulator(system)
+    sim = _open_space(config).simulator(
+        system, tables=compile_system_kernels(system))
     digest, state = samples[0]
     restore_state(sim, state)
     return sim, home_map, digest
@@ -291,7 +305,7 @@ def guided_workload(
             home_map={f"L{i}": i % n_quads for i in range(n_lines)},
             reissue_delay=6,
         )
-        sim = Simulator(system, assignment=assignment, config=config)
+        sim = _simulator(system, assignment, config)
         home_map = config.home_map
         origin = "reset state"
     ensure_recorder(sim)

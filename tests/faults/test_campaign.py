@@ -62,7 +62,7 @@ class TestDetectionLayers:
         prepare_reference_tables(clone)
         cycles = frozenset(
             tuple(c) for c in clone.analyze_deadlocks(
-                "v5d", engine="sql", workers=1,
+                "v5d", engine="sql",
                 table_name="__t_clean_dep").cycles())
         return clone.db.snapshot(), cycles
 

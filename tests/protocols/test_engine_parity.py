@@ -16,7 +16,6 @@ Two guarantees the performance work must never erode:
 
 import pytest
 
-from repro.core.database import SNAPSHOT_SUPPORTED, ProtocolDatabase
 from repro.core.deadlock import (
     ChannelAssignment,
     DeadlockAnalyzer,
@@ -97,7 +96,7 @@ class TestDeadlockEngineParity:
     @pytest.mark.parametrize("assignment", ["v4", "v5", "v5d"])
     def test_sql_matches_python_oracle(self, system, assignment):
         sql = system.analyze_deadlocks(
-            assignment, engine="sql", workers=1,
+            assignment, engine="sql",
             table_name=f"pdt_par_sql_{assignment}")
         py = system.analyze_deadlocks(
             assignment, engine="python",
@@ -114,22 +113,12 @@ class TestDeadlockEngineParity:
     def test_variant_parity(self, system, kwargs):
         tag = "_".join(kwargs)
         sql = system.analyze_deadlocks(
-            "v5", engine="sql", workers=1,
+            "v5", engine="sql",
             table_name=f"pdt_var_sql_{tag}", **kwargs)
         py = system.analyze_deadlocks(
             "v5", engine="python", table_name=f"pdt_var_py_{tag}", **kwargs)
         assert sorted(rows_of(sql)) == sorted(rows_of(py))
         assert sql.cycles() == py.cycles()
-
-    @pytest.mark.skipif(not SNAPSHOT_SUPPORTED,
-                        reason="sqlite3 serialize() needs Python 3.11+")
-    def test_parallel_workers_match_sequential(self, system):
-        seq = system.analyze_deadlocks(
-            "v5", engine="sql", workers=1, table_name="pdt_seq")
-        par = system.analyze_deadlocks(
-            "v5", engine="sql", workers=4, table_name="pdt_par")
-        assert sorted(rows_of(par)) == sorted(rows_of(seq))
-        assert par.cycles() == seq.cycles()
 
     def test_missing_assignment_error_parity(self, system):
         v5 = system.channel_assignments["v5"]
@@ -166,7 +155,7 @@ class TestQueryPlans:
     and an indexed one as ``SEARCH <alias> USING ... INDEX <name>``."""
 
     def test_composition_join_and_dedup_use_indexes(self, system, analyzer):
-        analyzer.analyze(table_name="pdt_plan", workers=1)
+        analyzer.analyze(table_name="pdt_plan")
         stmts = analyzer._compose_round_stmts(
             "pdt_plan", ignore_messages=True, closure=False)
         *setup, insert, drop = stmts
@@ -247,11 +236,10 @@ class TestMutatedTableParity:
         try:
             results = {}
             for engine in ("sql", "python"):
-                kwargs = {"workers": 1} if engine == "sql" else {}
                 try:
                     analysis = clone.analyze_deadlocks(
                         "v5d", engine=engine,
-                        table_name=f"mut_par_{engine}", **kwargs)
+                        table_name=f"mut_par_{engine}")
                     results[engine] = ("ok", rows_of(analysis),
                                        analysis.cycles())
                 except MissingAssignmentError as exc:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.database import DatabaseError, ProtocolDatabase
+from repro.core.deadlock import DeadlockAnalyzer
 from repro.telemetry import ListSink, Tracer, use_tracer
+from repro.telemetry.tracer import normalize_sql
 
 
 @pytest.fixture()
@@ -106,3 +108,24 @@ class TestSlowQueryPlans:
                 db.execute("CREATE TABLE t (a TEXT)")
                 db.query("SELECT * FROM t")
         assert tracer.slow_queries == []
+
+
+class TestDeadlockCompositionTraced:
+    def test_analyze_records_its_composition_statements(self, fresh_system):
+        """Composition runs on the analyzer's own (traced) connection, so
+        every ``__cand`` statement of the round shows up in the tracer."""
+        analyzer = DeadlockAnalyzer(
+            fresh_system.db, fresh_system.deadlock_specs(),
+            fresh_system.channel_assignments["v5"])
+        tracer = Tracer(sinks=[ListSink()], slow_sql_seconds=None)
+        with use_tracer(tracer):
+            analysis = analyzer.analyze(table_name="pdt_traced")
+        assert analysis.cycles()
+        stmts = analyzer._compose_round_stmts(
+            "pdt_traced", ignore_messages=True, closure=False)
+        assert any("__cand" in s for s in stmts)
+        for stmt in stmts:
+            assert tracer.sql_statements[normalize_sql(stmt)].count == 1
+        (compose,) = [e for e in tracer.sinks[0].of_type("span")
+                      if e["name"] == "deadlock.compose"]
+        assert compose["closure"] is False and "parallel" not in compose
