@@ -12,12 +12,14 @@ SQL NULL.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sqlite3
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..runtime.retry import RetryPolicy, call_with_retry
 from ..telemetry import get_tracer
@@ -126,6 +128,30 @@ _READ_VERBS = frozenset({"SELECT", "WITH", "PRAGMA", "EXPLAIN", "ANALYZE"})
 _DML_VERBS = frozenset({"INSERT", "UPDATE", "DELETE", "REPLACE"})
 
 
+#: authorizer actions that change a table, mapped to the callback
+#: argument naming it (ALTER TABLE passes the database name first).  DDL
+#: also reports the INSERT/UPDATE/DELETE it makes on ``sqlite_master``.
+_WRITE_ACTIONS = {
+    sqlite3.SQLITE_INSERT: 0,
+    sqlite3.SQLITE_UPDATE: 0,
+    sqlite3.SQLITE_DELETE: 0,
+    sqlite3.SQLITE_CREATE_TABLE: 0,
+    sqlite3.SQLITE_CREATE_TEMP_TABLE: 0,
+    sqlite3.SQLITE_DROP_TABLE: 0,
+    sqlite3.SQLITE_DROP_TEMP_TABLE: 0,
+    sqlite3.SQLITE_CREATE_VIEW: 0,
+    sqlite3.SQLITE_CREATE_TEMP_VIEW: 0,
+    sqlite3.SQLITE_DROP_VIEW: 0,
+    sqlite3.SQLITE_DROP_TEMP_VIEW: 0,
+    sqlite3.SQLITE_ALTER_TABLE: 1,
+}
+
+#: what removes an authorizer: ``None`` from Python 3.11 on; before
+#: that, a callback that allows everything.
+_NO_AUTHORIZER = (None if sys.version_info >= (3, 11)
+                  else (lambda *args: sqlite3.SQLITE_OK))
+
+
 #: statement prefixes whose plans ``EXPLAIN QUERY PLAN`` can prepare even
 #: after the original ran (a second CREATE would fail on "already exists").
 _PLANNABLE = ("SELECT", "WITH", "INSERT", "UPDATE", "DELETE")
@@ -186,6 +212,7 @@ class ProtocolDatabase:
         # class never observe a stale probe.
         self._schema_cache = _LRUCache()
         self._count_cache = _LRUCache()
+        self._writes = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
@@ -278,9 +305,17 @@ class ProtocolDatabase:
         return db
 
     # -- metadata cache -----------------------------------------------------------
+    @property
+    def write_count(self) -> int:
+        """How many statements that may have changed the database went
+        through this object; equal counts mean unchanged tables, which is
+        what lets callers memoize work derived from them."""
+        return self._writes
+
     def invalidate_caches(self) -> None:
         """Drop every cached metadata probe (automatic for writes issued
         through this class; call manually after raw ``connection`` writes)."""
+        self._writes += 1
         self._schema_cache.clear()
         self._count_cache.clear()
 
@@ -289,9 +324,54 @@ class ProtocolDatabase:
         verb = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
         if verb in _READ_VERBS:
             return
+        self._writes += 1
         self._count_cache.clear()
         if verb not in _DML_VERBS:
             self._schema_cache.clear()
+
+    # -- read and write sets ------------------------------------------------------
+    def tables_read_by(self, sql: str) -> frozenset[str]:
+        """The tables ``sql`` reads, as SQLite's authorizer reports them
+        (``SQLITE_READ``) while preparing ``EXPLAIN <sql>``; nothing is
+        executed.  Views and subqueries report their base tables."""
+        read: set[str] = set()
+
+        def authorize(action, table, *_):
+            if action == sqlite3.SQLITE_READ and table:
+                read.add(table)
+            return sqlite3.SQLITE_OK
+
+        self._conn.set_authorizer(authorize)
+        try:
+            self._conn.execute(f"EXPLAIN {sql}")
+        except sqlite3.Error as e:
+            raise DatabaseError(
+                f"{type(e).__name__}: {e}\nSQL was:\n{sql}") from e
+        finally:
+            self._conn.set_authorizer(_NO_AUTHORIZER)
+        return frozenset(read)
+
+    @contextlib.contextmanager
+    def recording_writes(self) -> Iterator[set[str]]:
+        """Collect, into the yielded set, every table the statements
+        prepared inside the block insert into, update, delete from,
+        create, drop or alter (SQLite's authorizer; DDL adds
+        ``sqlite_master``)."""
+        written: set[str] = set()
+
+        def authorize(action, arg1, arg2, *_):
+            pos = _WRITE_ACTIONS.get(action)
+            if pos is not None:
+                table = (arg1, arg2)[pos]
+                if table:
+                    written.add(table)
+            return sqlite3.SQLITE_OK
+
+        self._conn.set_authorizer(authorize)
+        try:
+            yield written
+        finally:
+            self._conn.set_authorizer(_NO_AUTHORIZER)
 
     def _cached_probe(self, cache: _LRUCache, key: Any, compute) -> Any:
         if not self._cache_metadata:

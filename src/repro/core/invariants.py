@@ -18,12 +18,18 @@ Two execution strategies:
   projected back to each invariant's own columns afterwards, which makes
   the two strategies produce identical :class:`~repro.core.report.Report`
   contents.  Raw-SQL invariants keep their private queries.
+
+An :class:`InvariantPlan` prepares an invariant list once against a
+database that passes it, recording each check's *read set*.  A copy of
+that database in which only some tables were written needs to re-run
+only the checks that read one of them (:class:`SweepScope`): every other
+check reads byte-identical tables and passes again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from ..telemetry import get_tracer, span
 from .database import DatabaseError, ProtocolDatabase
@@ -32,7 +38,8 @@ from .report import CheckResult, Report
 from .sqlgen import quote_ident, quote_value, to_sql
 from .table import ControllerTable
 
-__all__ = ["Invariant", "InvariantChecker", "InvariantViolation"]
+__all__ = ["Invariant", "InvariantChecker", "InvariantViolation",
+           "InvariantPlan", "SweepScope"]
 
 #: compound-SELECT branches per batched query, comfortably below
 #: SQLite's default 500-term compound limit.
@@ -98,13 +105,20 @@ class InvariantChecker:
     restores the one-query-per-invariant behaviour everywhere.
     """
 
-    def __init__(self, db: ProtocolDatabase, batch: bool = True) -> None:
+    def __init__(
+        self,
+        db: ProtocolDatabase,
+        batch: bool = True,
+        sql_columns: Optional[Mapping[str, Optional[list[str]]]] = None,
+    ) -> None:
         self.db = db
         self.batch = batch
         self.invariants: list[Invariant] = []
         # violation_sql -> output column names (None = not batchable),
-        # probed once with a LIMIT 0 prepare; purely schema-dependent.
-        self._sql_columns: dict[str, Optional[list[str]]] = {}
+        # probed once with a LIMIT 0 prepare; purely schema-dependent, so
+        # ``sql_columns`` may hand over the probes of a same-schema copy.
+        self._sql_columns: dict[str, Optional[list[str]]] = dict(
+            sql_columns or {})
 
     def add(self, invariant: Invariant) -> None:
         self.invariants.append(invariant)
@@ -263,3 +277,63 @@ class InvariantChecker:
         ]
         report.extend(self._sweep(selected, batch))
         return report
+
+
+@dataclass(frozen=True)
+class InvariantPlan:
+    """An invariant list prepared once against a database that passes it.
+
+    ``reads[i]`` is the read set of ``invariants[i]``: the tables its
+    query reads, as :meth:`ProtocolDatabase.tables_read_by` records them.
+    ``sql_columns`` holds the batch column probes of the raw-SQL
+    invariants, so checkers built from the plan skip them.  A plan pickles
+    (campaign payloads ship it to process workers)."""
+
+    invariants: tuple[Invariant, ...]
+    reads: tuple[frozenset[str], ...]
+    sql_columns: dict[str, Optional[list[str]]]
+
+    @classmethod
+    def prepare(cls, db: ProtocolDatabase,
+                invariants: Sequence[Invariant]) -> "InvariantPlan":
+        """Record on ``db`` every invariant's read set and, for raw-SQL
+        invariants, the columns a batched sweep reads back."""
+        probe = InvariantChecker(db)
+        for inv in invariants:
+            if inv.violation_sql is not None:
+                probe._violation_columns(inv)
+        return cls(
+            invariants=tuple(invariants),
+            reads=tuple(db.tables_read_by(inv.query()) for inv in invariants),
+            sql_columns=probe._sql_columns,
+        )
+
+    def __len__(self) -> int:
+        return len(self.invariants)
+
+    def affected(self, written: AbstractSet[str]) -> list[Invariant]:
+        """The invariants that read a table in ``written``, in plan order."""
+        return [inv for inv, reads in zip(self.invariants, self.reads)
+                if not reads.isdisjoint(written)]
+
+    def checker(self, db: ProtocolDatabase, written: AbstractSet[str],
+                batch: bool = True) -> InvariantChecker:
+        """A checker on ``db`` holding :meth:`affected` ``(written)``."""
+        checker = InvariantChecker(db, batch=batch,
+                                   sql_columns=self.sql_columns)
+        checker.extend(self.affected(written))
+        return checker
+
+
+@dataclass(frozen=True)
+class SweepScope:
+    """What changed in a copy of a database whose clean original passed
+    every check of ``plan``: the tables ``written`` since.
+
+    A check that reads none of them sees the clean original's bytes and
+    passes as it did there, so the copy needs only the affected checks —
+    the failed checks, their order and their violations are the full
+    sweep's."""
+
+    plan: InvariantPlan
+    written: frozenset[str]

@@ -18,10 +18,13 @@ the implementation that runs (the paper's section 5 mapping step);
 :class:`KernelSystem` wraps them in the minimal system shape
 :class:`~repro.sim.system.Simulator` needs, which is how worker pools
 rebuild a simulator from pickled rows without shipping a database.
+Compiling is memoized per system for as long as its database records no
+write, so the builders and the explorer of one pipeline share kernels.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, Optional, Sequence
 
 from .codegen import compile_dispatch
@@ -143,13 +146,26 @@ class KernelTable:
         )
 
 
+#: system -> (database write count, table objects, kernels) of its
+#: last compile; see :func:`compile_system_kernels`.
+_COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def compile_system_kernels(system) -> dict[str, KernelTable]:
-    """Compile the simulated tables of a protocol system into kernels."""
-    return {
-        name: KernelTable.from_table(system.tables[name])
-        for name in SIMULATED_TABLES
-        if name in system.tables
-    }
+    """Compile the simulated tables of a protocol system into kernels.
+
+    The kernels of the system's previous compile come back while its
+    database's ``write_count`` and its table objects are unchanged; any
+    write (a mutation, a regenerated table) recompiles."""
+    tables = tuple((name, system.tables[name]) for name in SIMULATED_TABLES
+                   if name in system.tables)
+    writes = system.db.write_count
+    memo = _COMPILED.get(system)
+    if memo is not None and memo[:2] == (writes, tables):
+        return dict(memo[2])
+    kernels = {name: KernelTable.from_table(t) for name, t in tables}
+    _COMPILED[system] = (writes, tables, kernels)
+    return dict(kernels)
 
 
 class KernelSystem:

@@ -8,7 +8,8 @@ and pushed through the three detection layers in the paper's order:
 
 1. **invariants** — the behavioral suite + per-table determinism checks
    + the structural audits (conformance/completeness, see
-   :mod:`repro.faults.audits`);
+   :mod:`repro.faults.audits`), scoped to the checks that read a table
+   the mutation wrote (the clean system passed all of them);
 2. **deadlock** — the SQL VCG analysis; a mutant is caught when the cycle
    set differs from the clean system's or the V lookup fails;
 3. **simulation** — Figure 2 plus a short random workload; protocol
@@ -50,7 +51,7 @@ from typing import Optional, Sequence
 
 from ..core.database import DatabaseError, ProtocolDatabase
 from ..core.deadlock import MissingAssignmentError
-from ..core.invariants import Invariant, InvariantChecker
+from ..core.invariants import InvariantChecker, InvariantPlan, SweepScope
 from ..core.table import LookupError_
 from ..runtime import (
     CheckpointJournal,
@@ -436,7 +437,8 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
                 clean_cycles: frozenset, sim_ops: int,
                 oracle: Optional[dict] = None,
                 repair: Optional[dict] = None,
-                audits: Optional[list[Invariant]] = None) -> DetectionReport:
+                invariants: Optional[InvariantPlan] = None,
+                audits: Optional[InvariantPlan] = None) -> DetectionReport:
     """Clone the system, apply one mutation, and run the three layers
     (four with ``oracle``: bounded exhaustive exploration re-scores a
     mutant that survived everything else, turning "escaped" into either
@@ -444,6 +446,10 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
     ``repair``: deadlock-caught mutants — whether by the VCG layer or by
     an oracle deadlock — additionally get candidate fixes proposed,
     re-verified, and ranked by cost via :func:`_attempt_repair`).
+
+    Layer 1 runs only the checks that read a table the mutation wrote
+    (:class:`~repro.core.invariants.SweepScope`): the snapshot is of a
+    clean system that passed every check, so the others pass again.
 
     Each static layer degrades before it detects: a
     :class:`DatabaseError` from the batched invariant sweep retries the
@@ -454,10 +460,10 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
     optimized path still gets a genuine verdict (tagged
     ``degraded=True``).
 
-    ``audits`` are the clean system's structural audits
-    (:func:`structural_invariants`), which are the same for every mutant
-    of a campaign; when omitted they are built from the clone before the
-    mutation lands."""
+    ``invariants`` and ``audits`` are the clean system's behavioral suite
+    and structural audits (:func:`structural_invariants`) with their read
+    sets, the same for every mutant of a campaign; when omitted they are
+    prepared from the clone before the mutation lands."""
     from ..protocols.family import attach_variant
     from ..sim import figure2_scenario, random_workload
     from ..sim.models import SimProtocolError
@@ -472,20 +478,27 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
         # The variant marker inside the snapshot recovers the right
         # family member; an unmarked (MESI) snapshot attaches as before.
         system = attach_variant(db)
+        # Both plans must capture the *clean* tables and constraints, so
+        # prepare them before the mutation lands (relax-constraint edits
+        # the constraints).
+        if invariants is None:
+            invariants = InvariantPlan.prepare(db, system.invariants())
         if audits is None:
-            # Audits must capture the *clean* constraints, so build them
-            # before the mutation lands (relax-constraint edits them).
-            audits = structural_invariants(system)
-        mutation.apply_to(system)
+            audits = InvariantPlan.prepare(db, structural_invariants(system))
+        with db.recording_writes() as written:
+            mutation.apply_to(system)
+        written = frozenset(written)
+        system.scope = SweepScope(invariants, written)
 
         # Layer 1: invariant sweep + determinism + structural audits.
         def _invariant_sweep(batch: bool):
             report = system.check_invariants(batch=batch)
-            checker = InvariantChecker(db, batch=batch)
-            checker.extend(audits)
-            return report, checker.check_all("structural audits")
+            audit_report = audits.checker(db, written, batch=batch).check_all(
+                "structural audits")
+            return report, audit_report
 
-        with span("mutate.invariants", mutant=mutation.mutant_id):
+        with span("mutate.invariants", mutant=mutation.mutant_id,
+                  written=",".join(sorted(written))) as sp:
             try:
                 report, audit_report = _invariant_sweep(batch=True)
             except DatabaseError:
@@ -497,6 +510,14 @@ def _run_mutant(snapshot: bytes, mutation: Mutation, assignment: str,
                         mutation, "invariants",
                         f"checker error: {exc}".splitlines()[0], t0,
                         degraded=True)
+            checks = len(invariants) + len(system.tables) + len(audits)
+            ran = len(report.results) + len(audit_report.results)
+            sp.attributes.update(checks_run=ran, checks_skipped=checks - ran)
+            get_tracer().incr("invariant.scoped_out", checks - ran)
+        # The write set covers the mutation only; later stages write
+        # tables of their own, so the repair stage's re-verification
+        # sweeps in full.
+        system.scope = None
         failed = [r.name for r in (*report.results, *audit_report.results)
                   if not r.passed]
         if failed:
@@ -597,9 +618,9 @@ def _mutant_unit(payload: tuple) -> DetectionReport:
     """Module-level unit adapter for :func:`repro.runtime.run_units`
     (must be picklable for ``isolation="process"``)."""
     (snapshot, mutation, assignment, clean_cycles, sim_ops, oracle,
-     repair, audits) = payload
+     repair, invariants, audits) = payload
     return _run_mutant(snapshot, mutation, assignment, clean_cycles,
-                       sim_ops, oracle, repair, audits)
+                       sim_ops, oracle, repair, invariants, audits)
 
 
 def run_campaign(
@@ -751,6 +772,10 @@ def run_campaign(
             raise ValueError(
                 "the clean system already fails its invariants/audits; "
                 "mutation detection would be meaningless")
+        # Every check passed, so a mutant re-runs only those that read a
+        # table it wrote: the read sets are recorded once, here.
+        invariant_plan = InvariantPlan.prepare(system.db, system.invariants())
+        audit_plan = InvariantPlan.prepare(system.db, audits)
         clean_cycles = frozenset(
             tuple(c) for c in system.analyze_deadlocks(
                 assignment, engine="sql",
@@ -844,7 +869,7 @@ def run_campaign(
 
             units = [(m.mutant_id,
                       (snapshot, m, assignment, clean_cycles, sim_ops,
-                       unit_oracle, repair_cfg, audits))
+                       unit_oracle, repair_cfg, invariant_plan, audit_plan))
                      for m in pending]
             unit_results = run_units(
                 units, _mutant_unit, workers=workers, isolation=isolation,

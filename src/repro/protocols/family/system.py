@@ -32,7 +32,7 @@ from ...core.deadlock import (
     MessageTriple,
 )
 from ...core.generator import GenerationResult, TableGenerator
-from ...core.invariants import InvariantChecker
+from ...core.invariants import Invariant, InvariantChecker, SweepScope
 from ...core.quad import ALL_PLACEMENTS, Placement
 from ...core.report import CheckResult, Report
 from ...core.table import ControllerTable
@@ -115,6 +115,11 @@ class FamilySystem:
     """A generated protocol-family member: 8 controller tables in one
     database plus the member's channel assignments and invariants."""
 
+    #: Set on a mutated copy of a clean system (the mutation campaign's
+    #: clones): :meth:`check_invariants` then runs only the checks that
+    #: read a table the mutation wrote.  None runs the whole suite.
+    scope: Optional[SweepScope] = None
+
     def __init__(self, spec: FamilySpec | str = MESI,
                  db: Optional[ProtocolDatabase] = None) -> None:
         if isinstance(spec, str):
@@ -186,18 +191,34 @@ class FamilySystem:
         return self.tables[name]
 
     # -- static checks ----------------------------------------------------------
+    def invariants(self) -> list[Invariant]:
+        """The member's behavioral invariant suite."""
+        return family_invariants.build_invariants(self.spec)
+
     def invariant_checker(self, batch: bool = True) -> InvariantChecker:
         checker = InvariantChecker(self.db, batch=batch)
-        checker.extend(family_invariants.build_invariants(self.spec))
+        checker.extend(self.invariants())
         return checker
 
     def check_invariants(self, batch: bool = True) -> Report:
-        """Run the full invariant suite plus per-table determinism checks
-        (no two rows of any controller match the same concrete input)."""
-        report = self.invariant_checker(batch=batch).check_all(
-            f"{self.spec.title} protocol invariants")
+        """Run the invariant suite plus per-table determinism checks (no
+        two rows of any controller match the same concrete input).
+
+        With :attr:`scope` set, only the invariants whose read set meets
+        the written tables and the determinism checks of the written
+        controllers run, in suite order; see :class:`SweepScope` for why
+        the failures are exactly the full sweep's."""
+        scope = self.scope
+        if scope is None:
+            checker = self.invariant_checker(batch=batch)
+            tables = self.tables
+        else:
+            checker = scope.plan.checker(self.db, scope.written, batch=batch)
+            tables = {name: table for name, table in self.tables.items()
+                      if name in scope.written}
+        report = checker.check_all(f"{self.spec.title} protocol invariants")
         tracer = get_tracer()
-        for name, table in self.tables.items():
+        for name, table in tables.items():
             with span("invariant.determinism", table=name) as sp:
                 overlaps = table.find_overlapping_rows()
             if tracer.enabled:

@@ -206,6 +206,14 @@ _PRIMARY_WEIGHT, _SECONDARY_WEIGHT = 1.0, 0.35
 _PRIMARY_DECAY, _SECONDARY_DECAY = 0.90, 0.985
 
 
+def _served_kinds(system) -> list[str]:
+    """The op kinds of :data:`_OP_TABLES` the member's tables can serve:
+    processor ops always, a device op only when the IO table has a row
+    for it (``mesi-noio``'s IO table holds only ``dev_intr``)."""
+    served = set(system.tables["IO"].distinct("inmsg"))
+    return [k for k in _OP_TABLES if k not in IO_OPS or k in served]
+
+
 def ensure_recorder(sim: Simulator) -> CoverageRecorder:
     """Attach a coverage recorder to an already-built simulator (coverage
     is normally decided at construction; this rebuilds the model hooks)."""
@@ -313,7 +321,7 @@ def guided_workload(
     nodes = sorted(sim.nodes)
     addrs = list(home_map)
     quads = list(range(sim.config.n_quads))
-    kinds = list(_OP_TABLES)
+    kinds = _served_kinds(system)
 
     # Uncovered-fraction estimate per controller table, from the ledger.
     frac: dict[str, float] = {}

@@ -200,6 +200,62 @@ class TestMetadataCache:
                 d.row_count("d")
             assert "db.cache.hits" not in tracer.registry.counters
 
+    def test_write_count_moves_on_writes_only(self, db):
+        db.create_table_from_rows("d", ("a",), [{"a": "1"}])
+        before = db.write_count
+        db.query("SELECT * FROM d")
+        db.row_count("d")
+        assert db.write_count == before
+        db.execute("UPDATE d SET a = '2'")
+        assert db.write_count == before + 1
+        db.invalidate_caches()  # after raw connection writes
+        assert db.write_count == before + 2
+
+
+class TestReadAndWriteSets:
+    @pytest.fixture()
+    def tables(self, db):
+        for name in ("t", "u", "w"):
+            db.create_table_from_rows(name, ("a",), [{"a": "1"}])
+        db.execute("CREATE VIEW v AS SELECT a FROM w")
+        return db
+
+    def test_read_set_covers_subqueries_ctes_and_views(self, tables):
+        read = tables.tables_read_by(
+            "WITH x AS (SELECT a FROM u) "
+            "SELECT a FROM t WHERE a IN (SELECT a FROM x)")
+        assert read == {"t", "u"}
+        assert tables.tables_read_by("SELECT * FROM v") >= {"w"}
+        assert tables.tables_read_by("SELECT COUNT(*) FROM t") == {"t"}
+
+    def test_read_set_runs_nothing(self, tables):
+        tables.tables_read_by("SELECT a FROM t")
+        assert tables.row_count("t") == 1
+        with pytest.raises(DatabaseError):
+            tables.tables_read_by("SELECT nope FROM t")
+
+    def test_write_set_names_written_tables_only(self, tables):
+        with tables.recording_writes() as written:
+            tables.execute("INSERT INTO t SELECT * FROM u")
+            tables.execute("UPDATE u SET a = 'x' WHERE a IN (SELECT a FROM w)")
+        assert written == {"t", "u"}
+        with tables.recording_writes() as written:
+            tables.query("SELECT * FROM t JOIN u")
+        assert written == set()
+
+    def test_write_set_of_ddl(self, tables):
+        with tables.recording_writes() as written:
+            tables.create_table_as("n", "SELECT a FROM t")
+            tables.drop_table("u")
+            tables.execute("ALTER TABLE w ADD COLUMN b TEXT")
+        assert written == {"n", "u", "w", "sqlite_master"}
+
+    def test_authorizer_removed_after_recording(self, tables):
+        with tables.recording_writes() as written:
+            pass
+        tables.execute("DELETE FROM t")
+        assert written == set() and tables.row_count("t") == 0
+
 
 class TestChunkedInsert:
     def test_generator_larger_than_chunk_inserts_every_row(self, db):

@@ -11,7 +11,8 @@ stats, the full message trace (send order relative to the run's start)
 and the recorded coverage rowids:
 
 * on every family member: fig2, fig4 under v5 and v5d, three 300-op
-  random seeds, and a guided schedule;
+  random seeds, and a guided schedule (which issues only the device ops
+  the member's IO table serves);
 * on one mutant of each fault class from each member's committed
   seed-0 v5d sample, where the kernels must compile and both backends
   must give the same result or raise the same exception class with the
@@ -19,7 +20,8 @@ and the recorded coverage rowids:
   directory agreement included).
 
 The guard tests pin what the kernels buy: a workload's ``run()`` issues
-no SQL at all.
+no SQL at all, and a system's kernels are compiled once until its
+database records a write.
 """
 
 from unittest import mock
@@ -28,7 +30,11 @@ import pytest
 
 import repro.sim.workloads as workloads_mod
 from repro.core.database import ProtocolDatabase
-from repro.core.kernel import KernelTable, compile_system_kernels
+from repro.core.kernel import (
+    SIMULATED_TABLES,
+    KernelTable,
+    compile_system_kernels,
+)
 from repro.faults import FAULT_CLASSES, MutationEngine
 from repro.protocols.family import SPECS, attach_variant, build_variant
 from repro.sim import (
@@ -38,7 +44,7 @@ from repro.sim import (
     guided_workload,
     random_workload,
 )
-from repro.sim.models import SimProtocolError, next_seq
+from repro.sim.models import next_seq
 
 #: The committed campaign sample (BENCH_family.json seed and assignment,
 #: the campaign benchmark's mutant count).
@@ -113,12 +119,21 @@ def both_backends(system, build, agreement: bool = False):
 def test_clean_member_scenarios_agree(members, variant, scenario):
     kernel, sql = both_backends(members[variant], SCENARIOS[scenario])
     assert kernel == sql
-    if (variant, scenario) == ("mesi-noio", "guided"):
-        # The IO-less member has a one-row IO table, yet the guided
-        # schedule still issues device ops: both backends hit the hole.
-        assert sql[:2] == ("raised", SimProtocolError), sql
-    else:
-        assert sql["steps"] > 0 and sql["coverage"], sql
+    assert sql["steps"] > 0 and sql["coverage"], sql
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_guided_schedule_issues_only_served_device_ops(members, seed):
+    """mesi-noio's IO table holds only ``dev_intr``: a guided schedule
+    must not issue DMA reads or writes there, and it runs to quiescence
+    on both backends instead of raising a SimProtocolError."""
+    system = members["mesi-noio"]
+    build = lambda s: guided_workload(s, seed=seed, n_ops=60)  # noqa: E731
+    kinds = {op.op for op in build(system).ops}
+    assert not kinds & {"io_read", "io_write"}
+    kernel, sql = both_backends(system, build)
+    assert kernel == sql
+    assert sql["status"] == "quiescent", sql
 
 
 @pytest.mark.parametrize("variant", tuple(SPECS))
@@ -145,6 +160,47 @@ def test_committed_sample_mutants_agree(members, variant):
                 assert kernel == sql, mutation.description
         finally:
             mutated.db.close()
+
+
+def test_kernels_compile_once_until_a_write(members):
+    """The builders share one compile while the tables are unchanged; a
+    mutation applied to the clone afterwards recompiles, and the fresh
+    kernels hold the mutated rows."""
+    mutated = clone(members["mesi"])
+    try:
+        first = compile_system_kernels(mutated)
+        again = compile_system_kernels(mutated)
+        assert all(again[name] is first[name] for name in first)
+        assert again is not first  # callers get their own dict
+        rid = first["D"].rows_with_ids()[0][0]
+        mutated.db.execute(f"DELETE FROM D WHERE rowid = {rid}")
+        fresh = compile_system_kernels(mutated)
+        assert all(fresh[name] is not first[name] for name in first)
+        assert fresh["D"].row_count == first["D"].row_count - 1
+        assert rid not in {r for r, _ in fresh["D"].rows_with_ids()}
+    finally:
+        mutated.db.close()
+
+
+def test_regenerated_table_recompiles(members):
+    """A relax-constraint mutant replaces a table object and rewrites it:
+    its kernels are compiled from the regenerated rows."""
+    system = members["mesi"]
+    mutation = next(m for m in MutationEngine(
+        system, seed=SAMPLE_SEED, classes=("relax-constraint",),
+        assignment=SAMPLE_ASSIGNMENT).sample(20)
+        if m.target in SIMULATED_TABLES)
+    name = mutation.target
+    mutated = clone(system)
+    try:
+        before = compile_system_kernels(mutated)
+        mutation.apply_to(mutated)
+        after = compile_system_kernels(mutated)
+        assert after[name] is not before[name]
+        assert (after[name].rows_with_ids()
+                == mutated.tables[name].rows_with_ids())
+    finally:
+        mutated.db.close()
 
 
 # -- guards -------------------------------------------------------------------

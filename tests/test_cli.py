@@ -431,6 +431,13 @@ class TestVariantFlag:
         out = capsys.readouterr().out
         assert "MOESI protocol invariants" in out and "0 failing" in out
 
+    def test_guided_simulation_on_the_io_less_member(self, capsys):
+        # mesi-noio's IO table serves only interrupts; a guided schedule
+        # must not issue DMA ops there and crash the simulator.
+        assert main(["simulate", "--variant", "mesi-noio", "--guided"]) == 0
+        out = capsys.readouterr().out
+        assert "status: quiescent" in out and "coverage ledger" in out
+
     def test_variant_save_then_attach_recovers_member(self, tmp_path,
                                                       capsys):
         path = str(tmp_path / "moesi.db")
