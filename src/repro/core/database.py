@@ -24,7 +24,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 from ..runtime.retry import RetryPolicy, call_with_retry
 from ..telemetry import get_tracer
 from .expr import Row, Value
-from .schema import Column, TableSchema
+from .schema import Column
 from .sqlgen import quote_ident, quote_value
 
 __all__ = [
@@ -621,10 +621,6 @@ class ProtocolDatabase:
             [(v,) for v in column.domain],
         )
         return name
-
-    def create_column_tables(self, schema: TableSchema) -> dict[str, str]:
-        """Create all column tables for a schema; returns column -> table name."""
-        return {c.name: self.create_column_table(schema.name, c) for c in schema.columns}
 
     # -- data tables ---------------------------------------------------------------
     def create_table(self, name: str, columns: Sequence[str], replace: bool = True) -> None:

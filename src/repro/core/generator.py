@@ -14,6 +14,26 @@ Two strategies:
   time.  Each step's cross product is |table so far| × |column domain|, so
   cost grows linearly with columns instead of exponentially ("Incremental
   table generation produces the final table within a few minutes").
+
+Most output steps are *functional*: a one-column group whose constraint is
+a ternary chain (or a bare equality) ending in ``column = v`` leaves, with
+``v`` in the column's domain and no condition reading the column.  Of the
+|domain| candidates such a step gives a row, exactly one survives the
+filter — the value the chain selects.  The step therefore projects that
+value with a CASE expression (:func:`~repro.core.sqlgen.functional_sql`)
+instead of joining the domain table.  The result is the same table:
+
+* the join emits ``(r, v)`` exactly when ``v`` is the leaf the row's
+  conditions select and ``v`` is in the domain, one row per work row;
+* ``CROSS JOIN`` keeps the work table as the outer loop, so both forms
+  emit rows in work-table order and give them the same rowids;
+* the projection is cast to ``TEXT``, the type of the column table's
+  column, so the final table's DDL is unchanged.
+
+Every other step — ``TRUE`` (an unconstrained or relaxed column), ``In``
+or ``Or`` leaves, conditions that read the column, multi-column groups —
+keeps the cross join.  Column tables are created the first time a join
+needs them.
 """
 
 from __future__ import annotations
@@ -26,7 +46,7 @@ from .constraints import ConstraintSet
 from .database import ProtocolDatabase
 from .expr import And, BoolExpr, TRUE, TrueExpr
 from .schema import TableSchema
-from .sqlgen import quote_ident, to_sql
+from .sqlgen import functional_sql, quote_ident, to_sql
 from .table import ControllerTable
 
 __all__ = ["TableGenerator", "GenerationResult", "GenerationBudgetError"]
@@ -45,6 +65,8 @@ class StepTiming:
 
     label: str
     columns: tuple[str, ...]
+    #: The paper's logical product, |rows so far| × |group domain|, also
+    #: for a functional step that projects its value instead of joining.
     cross_product_size: int
     result_rows: int
     seconds: float
@@ -79,11 +101,19 @@ class TableGenerator:
         self.constraints = constraints
         self.schema = constraints.schema
         self.table_name = table_name or self.schema.name
-        self._column_tables = db.create_column_tables(self.schema)
+        self._column_tables: dict[str, str] = {}
 
     # -- helpers -----------------------------------------------------------------
+    def _column_table(self, column: str) -> str:
+        name = self._column_tables.get(column)
+        if name is None:
+            name = self.db.create_column_table(
+                self.schema.name, self.schema.column(column))
+            self._column_tables[column] = name
+        return name
+
     def _cross_join(self, columns: Sequence[str]) -> str:
-        parts = [quote_ident(self._column_tables[c]) for c in columns]
+        parts = [quote_ident(self._column_table(c)) for c in columns]
         return " CROSS JOIN ".join(parts)
 
     @staticmethod
@@ -157,19 +187,35 @@ class TableGenerator:
         have: list[str] = list(input_names)
         for group in self.constraints.generation_plan():
             exprs = [self.constraints.get(c).expr for c in group]
-            where = to_sql(self._conj(exprs))
             prev_cols = ", ".join(quote_ident(c) for c in have)
-            new_cols = ", ".join(quote_ident(c) for c in group)
             nxt = f"{work}_{group[0]}"
             # The previous step already counted the working table.
             base_rows = steps[-1].result_rows
-            sql = (
-                f"SELECT {prev_cols}, {new_cols} FROM {quote_ident(work)} "
-                f"CROSS JOIN {self._cross_join(group)} WHERE {where}"
-            )
+            value = None
+            if len(group) == 1:
+                column = self.schema.column(group[0])
+                value = functional_sql(exprs[0], column.name, column.domain)
+            if value is not None:
+                kind = "project"
+                sql = (f"SELECT {prev_cols}, {value} AS {quote_ident(group[0])} "
+                       f"FROM {quote_ident(work)}")
+            else:
+                kind = "join"
+                where = to_sql(self._conj(exprs))
+                new_cols = ", ".join(quote_ident(c) for c in group)
+                sql = (
+                    f"SELECT {prev_cols}, {new_cols} FROM {quote_ident(work)} "
+                    f"CROSS JOIN {self._cross_join(group)} WHERE {where}"
+                )
             with span("generate.column", table=self.table_name,
-                      columns=",".join(group)) as sp:
+                      columns=",".join(group), step=kind) as sp:
                 self.db.create_table_as(nxt, sql)
+            if kind == "project":
+                # A projection keeps every row of the working table.
+                get_tracer().incr("generate.projected_steps")
+                rows = base_rows
+            else:
+                rows = self.db.row_count(nxt)
             group_domain = 1
             for c in group:
                 group_domain *= self.schema.column(c).domain_size
@@ -178,7 +224,7 @@ class TableGenerator:
                     label=f"+{','.join(group)}",
                     columns=tuple(group),
                     cross_product_size=base_rows * group_domain,
-                    result_rows=self.db.row_count(nxt),
+                    result_rows=rows,
                     seconds=sp.seconds,
                 )
             )

@@ -8,11 +8,16 @@ expands into an ``IS``-disjunction for the same reason.
 
 Column references may be qualified (``alias.column``) so the same
 expression can be compiled against a bare table or a join.
+
+:func:`functional_sql` is the second target: for a column constraint
+that *computes* its column (a ternary chain whose leaves all bind it to a
+domain value) it yields the value expression itself, which the
+incremental generator projects instead of searching the column's domain.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Collection, Optional
 
 from .expr import (
     And,
@@ -33,7 +38,8 @@ from .expr import (
     ValueExpr,
 )
 
-__all__ = ["to_sql", "quote_value", "quote_ident", "SqlCompileError"]
+__all__ = ["to_sql", "functional_sql", "quote_value", "quote_ident",
+           "SqlCompileError"]
 
 
 class SqlCompileError(TypeError):
@@ -115,3 +121,47 @@ def to_sql(expr: Expr, qualifier: Optional[str] = None) -> str:
     if isinstance(expr, BoolExpr):
         raise SqlCompileError(f"no SQL translation for boolean node {type(expr).__name__}")
     raise SqlCompileError(f"expected a boolean expression, got {expr!r}")
+
+
+def functional_sql(expr: BoolExpr, column: str,
+                   domain: Collection[Value]) -> Optional[str]:
+    """The value ``expr`` assigns to ``column``, as a SQL expression, or
+    ``None`` when ``expr`` does not compute it.
+
+    ``expr`` computes ``column`` when it is a :class:`Ternary` tree or a
+    bare :class:`Eq` whose conditions never read ``column`` and whose
+    every leaf is ``column = v`` (either operand order) with ``v`` in
+    ``domain`` (``None`` in ``domain`` admits a NULL leaf).  Then each row
+    satisfies ``expr`` for exactly one domain value, the one this CASE
+    returns.  ``if_false`` chains flatten into one CASE as in
+    :func:`to_sql`; only a ternary inside ``if_true`` nests.  The ``CAST``
+    gives the result the ``TEXT`` type a column table's column carries.
+    """
+
+    def leaf(node: BoolExpr) -> Optional[str]:
+        if isinstance(node, Eq):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if (isinstance(a, Col) and a.name == column
+                        and isinstance(b, Lit) and b.value in domain):
+                    return quote_value(b.value)
+        return None
+
+    def value(node: BoolExpr) -> Optional[str]:
+        if not isinstance(node, Ternary):
+            return leaf(node)
+        arms = []
+        while isinstance(node, Ternary):
+            if column in node.condition.free_columns():
+                return None
+            then = value(node.if_true)
+            if then is None:
+                return None
+            arms.append(f"WHEN {to_sql(node.condition)} THEN {then}")
+            node = node.if_false
+        default = leaf(node)
+        if default is None:
+            return None
+        return "CASE " + " ".join(arms) + f" ELSE {default} END"
+
+    body = value(expr)
+    return None if body is None else f"CAST({body} AS TEXT)"

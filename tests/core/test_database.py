@@ -32,12 +32,6 @@ class TestColumnTables:
         name = db.create_column_table("t", schema.column("b"))
         assert None in {r["b"] for r in db.rows(name)}
 
-    def test_create_column_tables_all(self, db, schema):
-        mapping = db.create_column_tables(schema)
-        assert set(mapping) == {"a", "b"}
-        for t in mapping.values():
-            assert db.table_exists(t)
-
     def test_recreation_replaces(self, db, schema):
         db.create_column_table("t", schema.column("a"))
         name = db.create_column_table("t", schema.column("a"))
